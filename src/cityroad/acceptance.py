@@ -3,9 +3,7 @@
 Each criterion returns pass/fail plus a one-line detail; ``run_criteria``
 prints one line per criterion and is what ``cityroad verify`` and the pytest
 acceptance module both call.  Expensive runs (the long front experiment, the
-asymptotic run) are shared across criteria through memoization.  Compiled
-kernels are warmed once before any timed section so JIT compilation never
-counts against a runtime budget.
+asymptotic run) are shared across criteria through memoization.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
 from .asymptotic import (
     AsymptoticState,
     compute_c_star_inf,
@@ -64,15 +61,6 @@ def _params(fprime0: float = 1.0, d: float = 1.0) -> Parameters:
 
 
 @lru_cache(maxsize=1)
-def _warm_kernels() -> None:
-    """Trigger JIT compilation outside any timed section."""
-    p = _params()
-    cfg = SimulationConfig(T=0.01, dt=1e-3, m=4, c_upper_guess=1.0, snapshot_stride=10)
-    simulate(InitialData.point_mass(0, 0.5), cfg, p)
-    simulate_asymptotic(InitialData.point_mass(0, 0.5), cfg, p)
-
-
-@lru_cache(maxsize=1)
 def _c_star():
     return compute_c_star(_params())
 
@@ -85,7 +73,6 @@ def _c_inf():
 @lru_cache(maxsize=1)
 def _front_run():
     """Shared left-block experiment at (1,1,1,1): T=80, m=32, dt=1e-3."""
-    _warm_kernels()
     t0 = time.perf_counter()
     cfg = SimulationConfig(T=80.0, dt=1e-3, m=32)
     traj = simulate(InitialData.left_block(), cfg, _params())
@@ -94,7 +81,6 @@ def _front_run():
 
 @lru_cache(maxsize=1)
 def _asym_run():
-    _warm_kernels()
     t0 = time.perf_counter()
     cfg = SimulationConfig(T=60.0, dt=0.01, m=32, c_upper_guess=1.5 * _c_inf().c_star_inf)
     traj = simulate_asymptotic(InitialData.left_block(), cfg, _params())
@@ -103,7 +89,6 @@ def _asym_run():
 
 def criterion_1_edge_convergence():
     """Manufactured Robin solution: error drops >= 3.5x under (dx,dt) -> (dx/2,dt/4)."""
-    _warm_kernels()
     p = _params()
     t0 = time.perf_counter()
     e32 = manufactured_solution_error(32, 1e-3, 0.1, p)
@@ -117,7 +102,6 @@ def criterion_1_edge_convergence():
 def criterion_2_mass_conservation():
     """f=0, left block, T=10: relative drift <= 1e-5, shrinking >= 3.5x when
     both steps halve."""
-    _warm_kernels()
     p0 = _params(fprime0=0.0)
     t0 = time.perf_counter()
     tr1 = simulate(InitialData.left_block(), SimulationConfig(T=10.0, dt=1e-3, m=64, c_upper_guess=1.0), p0)
@@ -232,7 +216,6 @@ def criterion_8_large_d_trend():
 def criterion_9_large_d_convergence():
     """Full-vs-limit distance e(eps) strictly decreasing over eps in
     {1e-1,1e-2,1e-3} for matched left-block data, T=5."""
-    _warm_kernels()
     t0 = time.perf_counter()
     rows = large_d_convergence_experiment(
         [1e-1, 1e-2, 1e-3], InitialData.left_block(), 5.0, _params()
@@ -274,7 +257,6 @@ def _random_ordered_pair(rng, width: int = 11):
 def criterion_11_comparison_principle():
     """20 random ordered initial pairs, both systems, T=5: ordering preserved
     within 1e-10, positivity within -1e-12."""
-    _warm_kernels()
     p = _params()
     rng = np.random.default_rng(20240707)
     # dt chosen so the explicit Crank-Nicolson half stays nonnegative

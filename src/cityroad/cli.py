@@ -4,7 +4,10 @@ Configuration is flat ``block.key = value`` text (diff-friendly, no schema
 engine); every float in data files prints with 17 significant digits so
 identical configs produce byte-identical CSVs.
 
-Commands: speed, simulate, asymptotic, sweep, verify.
+Commands: speed, simulate, asymptotic, sweep, verify.  Exit codes: 0 success;
+1 a run finished with a contaminated window, or a verify criterion failed;
+2 configuration error or inadmissible parameters; 3 blow-up; 4 a solver
+post-check or a-priori bound check failed; 5 no front to measure.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +30,27 @@ from .asymptotic import (
 )
 from .dispersion import compute_c_star
 from .front_speed import NoCrossingError, estimate_speed
-from .lattice_sim import InitialData, SimulationConfig, simulate
+from .lattice_sim import (
+    BlowUpError,
+    InitialData,
+    SimulationConfig,
+    default_c_upper,
+    simulate,
+)
 from .model import Parameters, logistic, rescale_to_unit_length
 
 __all__ = ["ExperimentConfig", "parse_config", "run_command", "main"]
 
 _OUTDIR_ENV = "CITYROAD_OUTDIR"
+
+# Error class -> exit code; the first match wins, so subclasses come first
+# (BlowUpError and NoCrossingError are RuntimeErrors, ConfigError a ValueError).
+_EXIT_CODES = (
+    (ValueError, 2),
+    (BlowUpError, 3),
+    (NoCrossingError, 5),
+    (RuntimeError, 4),
+)
 
 # key -> (converter, default); the standard (1,1,1,1) defaults drive every
 # command out of the box.
@@ -195,13 +214,23 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _fmt_all(values: np.ndarray):
+    """The floats of an array, each as _fmt prints it."""
+    return map(format, values.tolist(), repeat(".17g"))
+
+
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """Write the header, then each block of formatted lines as it is made."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row))
-            fh.write("\n")
+        fh.writelines(blocks)
+
+
+def _lines(rows):
+    """One line per row: ints and strings as they are, floats with 17 digits."""
+    for row in rows:
+        yield ",".join(str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row) + "\n"
 
 
 def _cmd_speed(cfg: ExperimentConfig) -> int:
@@ -210,7 +239,8 @@ def _cmd_speed(cfg: ExperimentConfig) -> int:
     inf = compute_c_star_inf(p)
     scan = res.scan
     rows = zip(scan.lam, scan.delta, scan.y, scan.mu, scan.c)
-    _write_csv(cfg.outdir / "dispersion_scan.csv", ["lambda", "delta", "y", "mu", "c"], rows)
+    _write_csv(cfg.outdir / "dispersion_scan.csv", ["lambda", "delta", "y", "mu", "c"],
+               _lines(rows))
     print(
         f"lambda0={_fmt(res.lambda0)} lambda_star={_fmt(res.lambda_star)} "
         f"mu_star={_fmt(res.mu_star)} c_star={_fmt(res.c_star)} "
@@ -223,30 +253,43 @@ def _cmd_speed(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _trajectory_rows(traj):
+def _trajectory_blocks(traj):
+    """time,j,rho lines, one block per snapshot."""
     for s in traj.snapshots:
-        for j, r in zip(s.js, s.rho):
-            yield (s.time, int(j), r)
+        t = _fmt(s.time)
+        yield "".join(f"{t},{j},{r}\n"
+                      for j, r in zip(range(s.j_min, s.j_max + 1), _fmt_all(s.rho)))
 
 
-def _edge_rows(traj):
+def _edge_blocks(traj):
+    """time,j,x,v lines, one block per snapshot."""
+    m = traj.final.m
+    x = list(_fmt_all(np.arange(m + 1) / m))
     for s in traj.snapshots:
-        x = np.arange(s.m + 1) / s.m
-        for k in range(s.n_edges):
-            j = s.j_min + k
-            for xi, vi in zip(x, s.edges[k]):
-                yield (s.time, int(j), xi, vi)
+        t = _fmt(s.time)
+        for j, row in zip(range(s.j_min, s.j_max), s.edges):
+            yield "".join(f"{t},{j},{xi},{vi}\n" for xi, vi in zip(x, _fmt_all(row)))
+
+
+def _window_sized(cfg: ExperimentConfig, p: Parameters, c_star: float | None) -> SimulationConfig:
+    """The run's controls, the automatic window sized from the c* already
+    solved for this run instead of a second solve."""
+    sim = cfg.simulation
+    if sim.c_upper_guess is not None:
+        return sim
+    return replace(sim, c_upper_guess=default_c_upper(p, c_star))
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
     p = cfg.normalized_parameters
-    traj = simulate(cfg.initial_data, cfg.simulation, p)
+    res = compute_c_star(p) if p.fprime0 > 0 else None
+    sim = _window_sized(cfg, p, None if res is None else res.c_star)
+    traj = simulate(cfg.initial_data, sim, p)
     out = cfg.outdir
-    _write_csv(out / "trajectory_rho.csv", ["time", "j", "rho"], _trajectory_rows(traj))
-    _write_csv(out / "trajectory_edge.csv", ["time", "j", "x", "v"], _edge_rows(traj))
-    _write_csv(out / "mass.csv", ["time", "mass"], zip(traj.times, traj.mass))
-    if p.fprime0 > 0:
-        res = compute_c_star(p)
+    _write_csv(out / "trajectory_rho.csv", ["time", "j", "rho"], _trajectory_blocks(traj))
+    _write_csv(out / "trajectory_edge.csv", ["time", "j", "x", "v"], _edge_blocks(traj))
+    _write_csv(out / "mass.csv", ["time", "mass"], _lines(zip(traj.times, traj.mass)))
+    if res is not None:
         try:
             trace = estimate_speed(traj, cfg.threshold, cfg.window_fraction)
         except NoCrossingError as exc:
@@ -266,19 +309,22 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     return 1 if traj.contaminated else 0
 
 
-def _asym_rows(traj):
+def _asym_blocks(traj):
+    """time,j,V,P lines, one block per snapshot; the last vertex has no edge
+    and gets V = nan."""
     for s in traj.snapshots:
-        for k, j in enumerate(s.js):
-            v = s.V[k] if k < len(s.V) else math.nan
-            yield (s.time, int(j), v, s.P[k])
+        t = _fmt(s.time)
+        V = [*_fmt_all(s.V), _fmt(math.nan)]
+        yield "".join(f"{t},{j},{v},{pj}\n"
+                      for j, v, pj in zip(range(s.j_min, s.j_max + 1), V, _fmt_all(s.P)))
 
 
 def _cmd_asymptotic(cfg: ExperimentConfig) -> int:
     p = cfg.normalized_parameters
     traj = simulate_asymptotic(cfg.initial_data, cfg.simulation, p)
     out = cfg.outdir
-    _write_csv(out / "asymptotic_vp.csv", ["time", "j", "V", "P"], _asym_rows(traj))
-    _write_csv(out / "asymptotic_mass.csv", ["time", "mass"], zip(traj.times, traj.mass))
+    _write_csv(out / "asymptotic_vp.csv", ["time", "j", "V", "P"], _asym_blocks(traj))
+    _write_csv(out / "asymptotic_mass.csv", ["time", "mass"], _lines(zip(traj.times, traj.mass)))
     if p.fprime0 > 0:
         inf = compute_c_star_inf(p)
         try:
@@ -298,7 +344,7 @@ def _cmd_asymptotic(cfg: ExperimentConfig) -> int:
             eps_values, cfg.initial_data, cfg.raw["largeD.T"], p,
             m=cfg.simulation.m, dt=cfg.simulation.dt,
         )
-        _write_csv(out / "large_d_errors.csv", ["epsilon", "error"], rows)
+        _write_csv(out / "large_d_errors.csv", ["epsilon", "error"], _lines(rows))
         files.append(out / "large_d_errors.csv")
         for eps, err in rows:
             print(f"epsilon={_fmt(eps)} error={_fmt(err)}")
@@ -312,7 +358,7 @@ def _sweep_point(args):
     cfg.raw[f"parameters.{name}"] = value
     p = cfg.normalized_parameters
     theory = compute_c_star(p).c_star
-    traj = simulate(cfg.initial_data, cfg.simulation, p)
+    traj = simulate(cfg.initial_data, _window_sized(cfg, p, theory), p)
     trace = estimate_speed(traj, cfg.threshold, cfg.window_fraction)
     rel = abs(trace.fitted_speed - theory) / theory
     return (name, value, theory, trace.fitted_speed, rel, traj.contaminated)
@@ -331,7 +377,7 @@ def _cmd_sweep(cfg: ExperimentConfig, parallel: bool = False) -> int:
         results = [_sweep_point(job) for job in jobs]
     rows = [(n, v, th, ms, rel) for (n, v, th, ms, rel, _) in results]
     _write_csv(cfg.outdir / "sweep.csv",
-               ["param", "value", "c_theory", "c_measured", "rel_error"], rows)
+               ["param", "value", "c_theory", "c_measured", "rel_error"], _lines(rows))
     contaminated = False
     for n, v, th, ms, rel, bad in results:
         flag = " (window contaminated)" if bad else ""
@@ -389,9 +435,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(cfg, parallel=args.parallel)
         raise AssertionError(args.command)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, RuntimeError) as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: {message}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -1,309 +1,75 @@
-"""Hot numerical kernels with two interchangeable backends.
+"""Hot numerical kernels: the IMEX step of the coupled lattice and the RK4
+step of the large-diffusion limit system, both vectorized across the window.
 
-The batched Crank-Nicolson edge update (a tridiagonal solve per edge per
-step) and the RK4 step of the large-diffusion lattice dominate runtime.
-Both exist twice: a numba ``@njit`` implementation and a pure-numpy one
-vectorized across edges.  Selection happens at import through the
-``CITYROAD_BACKEND`` environment variable:
-
-    auto   - numba when importable, numpy otherwise (default)
-    numba  - require numba, fail if missing
-    numpy  - force the numpy path
-
-``benchmarks/bench_backends.py`` times one against the other.
+Edge diffusion uses the dense Crank-Nicolson propagator that
+``edge_solver.assemble_step_operator`` builds once per (m, dt, d, alpha), so
+one lattice step costs a single matrix product over all edges plus two
+rank-one load terms (``StepOperator.apply``) and a few vertex updates.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "BACKEND",
-    "thomas_factor",
-    "thomas_solve",
-    "cn_step_edges",
-    "advance_lattice",
-    "advance_asym",
-    "numpy_impl",
-    "numba_impl",
-]
-
-_ENV_FLAG = os.environ.get("CITYROAD_BACKEND", "auto").strip().lower()
-if _ENV_FLAG not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"CITYROAD_BACKEND must be auto|numba|numpy, got {_ENV_FLAG!r}")
+__all__ = ["advance_lattice", "advance_asym"]
 
 
-def _thomas_factor_np(lower, diag, upper):
-    m = len(diag)
-    w = np.empty(m)
-    inv_den = np.empty(m)
-    den = diag[0]
-    inv_den[0] = 1.0 / den
-    w[0] = upper[0] * inv_den[0]
-    for i in range(1, m):
-        den = diag[i] - lower[i] * w[i - 1]
-        inv_den[i] = 1.0 / den
-        w[i] = upper[i] * inv_den[i] if i < m - 1 else 0.0
-    return w, inv_den
-
-
-def _thomas_solve_np(lower, w, inv_den, rhs):
-    # rhs: (..., m); forward elimination then back substitution.
-    rhs = np.asarray(rhs, dtype=float)
-    m = rhs.shape[-1]
-    z = np.empty_like(rhs)
-    z[..., 0] = rhs[..., 0] * inv_den[0]
-    for i in range(1, m):
-        z[..., i] = (rhs[..., i] - lower[i] * z[..., i - 1]) * inv_den[i]
-    x = np.empty_like(rhs)
-    x[..., m - 1] = z[..., m - 1]
-    for i in range(m - 2, -1, -1):
-        x[..., i] = z[..., i] - w[i] * x[..., i + 1]
-    return x
-
-
-def _cn_rhs_np(v, gl, gr, ex_lo, ex_di, ex_up, load_coeff, dt):
-    b = ex_di * v
-    b[:, 1:] += ex_lo[1:] * v[:, :-1]
-    b[:, :-1] += ex_up[:-1] * v[:, 1:]
-    b[:, 0] += dt * load_coeff * gl
-    b[:, -1] += dt * load_coeff * gr
-    return b
-
-
-def _cn_step_edges_np(v, gl, gr, ex_lo, ex_di, ex_up, im_lo, im_w, im_invden, load_coeff, dt):
-    b = _cn_rhs_np(v, gl, gr, ex_lo, ex_di, ex_up, load_coeff, dt)
-    return _thomas_solve_np(im_lo, im_w, im_invden, b)
-
-
-def _incoming_np(traces_left, traces_right, n_vertices):
+def _incoming(traces_left, traces_right, n_vertices):
     incoming = np.zeros(n_vertices)
     incoming[: len(traces_left)] += traces_left
     incoming[1:] += traces_right
     return incoming
 
 
-def _advance_lattice_np(
-    v, rho, nsteps, dt, alpha, beta, rate, ex_lo, ex_di, ex_up, im_lo, im_w, im_invden, load_coeff
-):
-    v = v.copy()
-    rho = rho.copy()
+def advance_lattice(v, rho, nsteps, dt, alpha, beta, reaction, op):
+    """Advance edges ``v`` (n_edges, m+1) and vertices ``rho`` by ``nsteps``
+    IMEX predictor-corrector steps; returns (v, rho, leak).
+
+    Predictor: explicit Euler on the vertex equation with reaction
+    ``reaction(rho)``.  Edges: one Crank-Nicolson step of ``op`` with Robin
+    loads averaged between beta rho (start) and beta rho~ (end).  Corrector:
+    trapezoid of the vertex right-hand side with old and new edge traces.
+    ``leak`` is the trapezoid outflux beta rho through the two window ends.
+    The inputs are not modified; the returned arrays are new.
+    """
+    v = np.array(v, dtype=float)
+    spare = np.empty_like(v)
+    rho = np.array(rho, dtype=float)
     n_v = len(rho)
     leak = 0.0
     for _ in range(nsteps):
-        incoming = _incoming_np(v[:, 0], v[:, -1], n_v)
-        rhs0 = rate * rho * (1.0 - rho) + alpha * incoming - 2.0 * beta * rho
+        rhs0 = reaction(rho) + alpha * _incoming(v[:, 0], v[:, -1], n_v) - 2.0 * beta * rho
         rho_t = rho + dt * rhs0
-        gl = 0.5 * beta * (rho[:-1] + rho_t[:-1])
-        gr = 0.5 * beta * (rho[1:] + rho_t[1:])
-        v = _cn_step_edges_np(
-            v, gl, gr, ex_lo, ex_di, ex_up, im_lo, im_w, im_invden, load_coeff, dt
-        )
-        incoming1 = _incoming_np(v[:, 0], v[:, -1], n_v)
-        rhs1 = rate * rho_t * (1.0 - rho_t) + alpha * incoming1 - 2.0 * beta * rho_t
+        g = 0.5 * beta * (rho + rho_t)
+        v, spare = op.apply(v, g[:-1], g[1:], out=spare), v
+        rhs1 = reaction(rho_t) + alpha * _incoming(v[:, 0], v[:, -1], n_v) - 2.0 * beta * rho_t
         rho_new = rho + 0.5 * dt * (rhs0 + rhs1)
         leak += 0.5 * dt * beta * (rho[0] + rho_new[0] + rho[-1] + rho_new[-1])
         rho = rho_new
     return v, rho, leak
 
 
-def _asym_deriv_np(V, P, alpha, beta, rate):
+def _asym_deriv(V, P, alpha, beta, rate):
     dV = -2.0 * alpha * V + beta * (P[:-1] + P[1:])
-    incoming = _incoming_np(V, V, len(P))
+    incoming = _incoming(V, V, len(P))
     dP = rate * P * (1.0 - P) + alpha * incoming - 2.0 * beta * P
     dL = beta * (P[0] + P[-1])
     return dV, dP, dL
 
 
-def _advance_asym_np(V, P, nsteps, dt, alpha, beta, rate):
+def advance_asym(V, P, nsteps, dt, alpha, beta, rate):
+    """Advance the limit system (edge levels V, vertices P, logistic rate) by
+    ``nsteps`` classical RK4 steps; returns (V, P, leak) with the outflux
+    integrated inside the stages."""
     V = V.copy()
     P = P.copy()
     leak = 0.0
     for _ in range(nsteps):
-        k1v, k1p, k1l = _asym_deriv_np(V, P, alpha, beta, rate)
-        k2v, k2p, k2l = _asym_deriv_np(V + 0.5 * dt * k1v, P + 0.5 * dt * k1p, alpha, beta, rate)
-        k3v, k3p, k3l = _asym_deriv_np(V + 0.5 * dt * k2v, P + 0.5 * dt * k2p, alpha, beta, rate)
-        k4v, k4p, k4l = _asym_deriv_np(V + dt * k3v, P + dt * k3p, alpha, beta, rate)
+        k1v, k1p, k1l = _asym_deriv(V, P, alpha, beta, rate)
+        k2v, k2p, k2l = _asym_deriv(V + 0.5 * dt * k1v, P + 0.5 * dt * k1p, alpha, beta, rate)
+        k3v, k3p, k3l = _asym_deriv(V + 0.5 * dt * k2v, P + 0.5 * dt * k2p, alpha, beta, rate)
+        k4v, k4p, k4l = _asym_deriv(V + dt * k3v, P + dt * k3p, alpha, beta, rate)
         V = V + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         P = P + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         leak += dt / 6.0 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
     return V, P, leak
-
-
-class _NumpyImpl:
-    thomas_factor = staticmethod(_thomas_factor_np)
-    thomas_solve = staticmethod(_thomas_solve_np)
-    cn_step_edges = staticmethod(_cn_step_edges_np)
-    advance_lattice = staticmethod(_advance_lattice_np)
-    advance_asym = staticmethod(_advance_asym_np)
-
-
-numpy_impl = _NumpyImpl()
-numba_impl = None
-
-_HAVE_NUMBA = False
-if _ENV_FLAG in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _ENV_FLAG == "numba":
-            raise
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _thomas_factor_nb(lower, diag, upper):
-        m = diag.shape[0]
-        w = np.empty(m)
-        inv_den = np.empty(m)
-        inv_den[0] = 1.0 / diag[0]
-        w[0] = upper[0] * inv_den[0]
-        for i in range(1, m):
-            den = diag[i] - lower[i] * w[i - 1]
-            inv_den[i] = 1.0 / den
-            if i < m - 1:
-                w[i] = upper[i] * inv_den[i]
-            else:
-                w[i] = 0.0
-        return w, inv_den
-
-    @njit(cache=True)
-    def _thomas_solve_rows_nb(lower, w, inv_den, rhs):
-        n, m = rhs.shape
-        x = np.empty_like(rhs)
-        for e in range(n):
-            z0 = rhs[e, 0] * inv_den[0]
-            x[e, 0] = z0
-            for i in range(1, m):
-                x[e, i] = (rhs[e, i] - lower[i] * x[e, i - 1]) * inv_den[i]
-            for i in range(m - 2, -1, -1):
-                x[e, i] = x[e, i] - w[i] * x[e, i + 1]
-        return x
-
-    @njit(cache=True)
-    def _thomas_solve_nb(lower, w, inv_den, rhs):
-        if rhs.ndim == 1:
-            return _thomas_solve_rows_nb(lower, w, inv_den, rhs.reshape(1, -1))[0]
-        return _thomas_solve_rows_nb(lower, w, inv_den, rhs)
-
-    @njit(cache=True)
-    def _cn_step_edges_nb(v, gl, gr, ex_lo, ex_di, ex_up, im_lo, im_w, im_invden, load_coeff, dt):
-        n, m = v.shape
-        out = np.empty_like(v)
-        for e in range(n):
-            b0 = ex_di[0] * v[e, 0] + ex_up[0] * v[e, 1] + dt * load_coeff * gl[e]
-            out[e, 0] = b0 * im_invden[0]
-            for i in range(1, m):
-                bi = ex_di[i] * v[e, i] + ex_lo[i] * v[e, i - 1]
-                if i < m - 1:
-                    bi += ex_up[i] * v[e, i + 1]
-                else:
-                    bi += dt * load_coeff * gr[e]
-                out[e, i] = (bi - im_lo[i] * out[e, i - 1]) * im_invden[i]
-            for i in range(m - 2, -1, -1):
-                out[e, i] = out[e, i] - im_w[i] * out[e, i + 1]
-        return out
-
-    @njit(cache=True)
-    def _advance_lattice_nb(
-        v, rho, nsteps, dt, alpha, beta, rate,
-        ex_lo, ex_di, ex_up, im_lo, im_w, im_invden, load_coeff,
-    ):
-        v = v.copy()
-        rho = rho.copy()
-        n_e, _ = v.shape
-        n_v = rho.shape[0]
-        rhs0 = np.empty(n_v)
-        rho_t = np.empty(n_v)
-        gl = np.empty(n_e)
-        gr = np.empty(n_e)
-        leak = 0.0
-        for _ in range(nsteps):
-            for j in range(n_v):
-                inc = 0.0
-                if j < n_e:
-                    inc += v[j, 0]
-                if j >= 1:
-                    inc += v[j - 1, -1]
-                rhs0[j] = rate * rho[j] * (1.0 - rho[j]) + alpha * inc - 2.0 * beta * rho[j]
-                rho_t[j] = rho[j] + dt * rhs0[j]
-            for e in range(n_e):
-                gl[e] = 0.5 * beta * (rho[e] + rho_t[e])
-                gr[e] = 0.5 * beta * (rho[e + 1] + rho_t[e + 1])
-            v = _cn_step_edges_nb(
-                v, gl, gr, ex_lo, ex_di, ex_up, im_lo, im_w, im_invden, load_coeff, dt
-            )
-            rho_first = rho[0]
-            rho_last = rho[-1]
-            for j in range(n_v):
-                inc = 0.0
-                if j < n_e:
-                    inc += v[j, 0]
-                if j >= 1:
-                    inc += v[j - 1, -1]
-                rhs1 = rate * rho_t[j] * (1.0 - rho_t[j]) + alpha * inc - 2.0 * beta * rho_t[j]
-                rho[j] = rho[j] + 0.5 * dt * (rhs0[j] + rhs1)
-            leak += 0.5 * dt * beta * (rho_first + rho[0] + rho_last + rho[-1])
-        return v, rho, leak
-
-    @njit(cache=True)
-    def _asym_deriv_nb(V, P, alpha, beta, rate, dV, dP):
-        n_e = V.shape[0]
-        n_v = P.shape[0]
-        for e in range(n_e):
-            dV[e] = -2.0 * alpha * V[e] + beta * (P[e] + P[e + 1])
-        for j in range(n_v):
-            inc = 0.0
-            if j < n_e:
-                inc += V[j]
-            if j >= 1:
-                inc += V[j - 1]
-            dP[j] = rate * P[j] * (1.0 - P[j]) + alpha * inc - 2.0 * beta * P[j]
-        return beta * (P[0] + P[-1])
-
-    @njit(cache=True)
-    def _advance_asym_nb(V, P, nsteps, dt, alpha, beta, rate):
-        V = V.copy()
-        P = P.copy()
-        n_e = V.shape[0]
-        n_v = P.shape[0]
-        k1v = np.empty(n_e); k2v = np.empty(n_e); k3v = np.empty(n_e); k4v = np.empty(n_e)
-        k1p = np.empty(n_v); k2p = np.empty(n_v); k3p = np.empty(n_v); k4p = np.empty(n_v)
-        leak = 0.0
-        for _ in range(nsteps):
-            k1l = _asym_deriv_nb(V, P, alpha, beta, rate, k1v, k1p)
-            k2l = _asym_deriv_nb(V + 0.5 * dt * k1v, P + 0.5 * dt * k1p, alpha, beta, rate, k2v, k2p)
-            k3l = _asym_deriv_nb(V + 0.5 * dt * k2v, P + 0.5 * dt * k2p, alpha, beta, rate, k3v, k3p)
-            k4l = _asym_deriv_nb(V + dt * k3v, P + dt * k3p, alpha, beta, rate, k4v, k4p)
-            V = V + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            P = P + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            leak += dt / 6.0 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
-        return V, P, leak
-
-    class _NumbaImpl:
-        thomas_factor = staticmethod(_thomas_factor_nb)
-        thomas_solve = staticmethod(_thomas_solve_nb)
-        cn_step_edges = staticmethod(_cn_step_edges_nb)
-        advance_lattice = staticmethod(_advance_lattice_nb)
-        advance_asym = staticmethod(_advance_asym_nb)
-
-    numba_impl = _NumbaImpl()
-
-
-if _ENV_FLAG == "numpy" or not _HAVE_NUMBA:
-    BACKEND = "numpy"
-    _impl = numpy_impl
-else:
-    BACKEND = "numba"
-    _impl = numba_impl
-
-thomas_factor = _impl.thomas_factor
-thomas_solve = _impl.thomas_solve
-cn_step_edges = _impl.cn_step_edges
-advance_lattice = _impl.advance_lattice
-advance_asym = _impl.advance_asym

@@ -2,7 +2,8 @@
 
 One step is an IMEX predictor-corrector: reaction and exchange terms advance
 explicitly, edge diffusion implicitly (Crank-Nicolson), so each step costs one
-tridiagonal solve per edge.  The infinite lattice is truncated to a window
+product of all edge profiles with the precomputed dense propagator
+(``kernels.advance_lattice``).  The infinite lattice is truncated to a window
 sized from an upper speed guess, with absorbing (zero) exterior; a
 contamination detector flags runs whose front reaches a window boundary that
 started empty.  Mass bookkeeping adds the boundary outflux back so the
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dispersion, kernels
-from .edge_solver import StepOperator, assemble_step_operator
+from .edge_solver import assemble_step_operator
 from .model import (
     LatticeState,
     Parameters,
@@ -193,11 +194,14 @@ def stiffness_dt_cap(p: Parameters) -> float:
     return 0.1 / max(p.fprime0, 2.0 * p.beta, 2.0 * p.alpha)
 
 
-def default_c_upper(p: Parameters) -> float:
-    """Window-sizing speed bound: 1.5x the linear spreading speed, or 1 when
-    there is no reaction (purely diffusive spreading)."""
+def default_c_upper(p: Parameters, c_star: float | None = None) -> float:
+    """Window-sizing speed bound: 1.5x the linear spreading speed (solved
+    here unless ``c_star`` is given), or 1 when there is no reaction (purely
+    diffusive spreading)."""
     if p.fprime0 > 0:
-        return 1.5 * dispersion.compute_c_star(p).c_star
+        if c_star is None:
+            c_star = dispersion.compute_c_star(p).c_star
+        return 1.5 * c_star
     return 1.0
 
 
@@ -257,40 +261,15 @@ def _blow_up_threshold(p: Parameters, rho: np.ndarray, edges: np.ndarray) -> flo
     return 10.0 * scale
 
 
-def _step_arrays(v, rho, op: StepOperator, p: Parameters, dt: float):
-    """One IMEX predictor-corrector step on raw arrays with the generic
-    nonlinearity; returns (v_new, rho_new, leak_increment)."""
-    alpha, beta = p.alpha, p.beta
-    f = p.nonlinearity
-    n_v = len(rho)
-    incoming = np.zeros(n_v)
-    incoming[:-1] += v[:, 0]
-    incoming[1:] += v[:, -1]
-    rhs0 = f(rho) + alpha * incoming - 2.0 * beta * rho
-    rho_t = rho + dt * rhs0
-    gl = 0.5 * beta * (rho[:-1] + rho_t[:-1])
-    gr = 0.5 * beta * (rho[1:] + rho_t[1:])
-    v_new = op.apply(v, gl, gr)
-    incoming1 = np.zeros(n_v)
-    incoming1[:-1] += v_new[:, 0]
-    incoming1[1:] += v_new[:, -1]
-    rhs1 = f(rho_t) + alpha * incoming1 - 2.0 * beta * rho_t
-    rho_new = rho + 0.5 * dt * (rhs0 + rhs1)
-    leak = 0.5 * dt * beta * (rho[0] + rho_new[0] + rho[-1] + rho_new[-1])
-    return v_new, rho_new, leak
-
-
 def step_system(s: LatticeState, dt: float, p: Parameters) -> LatticeState:
-    """Advance the full coupled system by one step.
-
-    Predictor: explicit Euler on the vertex equation.  Edges: Crank-Nicolson
-    with Robin loads averaged between beta rho (start) and beta rho~ (end).
-    Corrector: trapezoid of the vertex right-hand side using old and new edge
-    traces.  Formally second order in dt.
-    """
+    """Advance the full coupled system by one IMEX predictor-corrector step
+    (``kernels.advance_lattice``), formally second order in dt, and check it
+    against the blow-up threshold."""
     p.require_unit_length()
     op = assemble_step_operator(s.m, dt, p)
-    v_new, rho_new, _ = _step_arrays(s.edges, s.rho, op, p, dt)
+    v_new, rho_new, _ = kernels.advance_lattice(
+        s.edges, s.rho, 1, dt, p.alpha, p.beta, p.nonlinearity, op
+    )
     threshold = _blow_up_threshold(p, s.rho, s.edges)
     worst = max(float(np.max(np.abs(rho_new))), float(np.max(np.abs(v_new))))
     if not math.isfinite(worst) or worst > threshold:
@@ -312,8 +291,7 @@ def _check_bounds(rho, edges, rho_hi, v_hi, scale, time):
 def simulate(data: InitialData, cfg: SimulationConfig, p: Parameters) -> Trajectory:
     """Run the coupled system to time T, recording ~200 snapshots, the
     leak-corrected mass series, and the a-priori-bound checks at every
-    snapshot.  The logistic reaction runs through the compiled kernel path;
-    tabulated reactions fall back to per-step stepping."""
+    snapshot."""
     p.require_unit_length()
     cap = stiffness_dt_cap(p)
     if cfg.dt > cap * (1.0 + 1e-12):
@@ -325,8 +303,7 @@ def simulate(data: InitialData, cfg: SimulationConfig, p: Parameters) -> Traject
 
     state0 = init_state(data, cfg, p)
     compat = compatibility_residuals(state0, p).max_residual
-    rho = state0.rho.copy()
-    v = state0.edges.copy()
+    rho, v = state0.rho, state0.edges
     rho_hi = max(float(np.max(rho)), 1.0)
     v_hi = max(p.beta / p.alpha, float(np.max(v)))
     scale = max(rho_hi, v_hi)
@@ -334,8 +311,6 @@ def simulate(data: InitialData, cfg: SimulationConfig, p: Parameters) -> Traject
     check_left = not data.occupies_left_boundary
 
     op = assemble_step_operator(cfg.m, cfg.dt, p)
-    logistic_fast = p.nonlinearity.kind == "logistic"
-    rate = p.fprime0
 
     snapshots = [state0]
     mass = [total_mass(state0)]
@@ -344,17 +319,10 @@ def simulate(data: InitialData, cfg: SimulationConfig, p: Parameters) -> Traject
     done = 0
     while done < nsteps:
         chunk = min(stride, nsteps - done)
-        if logistic_fast:
-            v, rho, dleak = kernels.advance_lattice(
-                v, rho, chunk, cfg.dt, p.alpha, p.beta, rate,
-                op.explicit.lower, op.explicit.diagonal, op.explicit.upper,
-                op.implicit.lower, op.im_w, op.im_invden, op.load_coeff,
-            )
-            leak += dleak
-        else:
-            for _ in range(chunk):
-                v, rho, dleak = _step_arrays(v, rho, op, p, cfg.dt)
-                leak += dleak
+        v, rho, dleak = kernels.advance_lattice(
+            v, rho, chunk, cfg.dt, p.alpha, p.beta, p.nonlinearity, op
+        )
+        leak += dleak
         done += chunk
         t = done * cfg.dt
         worst = max(float(np.max(np.abs(rho))), float(np.max(np.abs(v))))

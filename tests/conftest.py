@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 import cityroad
+from cityroad import acceptance
 from cityroad.dispersion import compute_c_star
-from cityroad.lattice_sim import InitialData, SimulationConfig, simulate
 from cityroad.model import Parameters, logistic
 
 
@@ -33,7 +33,8 @@ def c_star_unit(params_unit):
 
 
 @pytest.fixture(scope="session")
-def left_block_run(params_unit):
-    """Long left-block experiment shared by the front-speed and long-time tests."""
-    cfg = SimulationConfig(T=80.0, dt=1e-3, m=32)
-    return simulate(InitialData.left_block(), cfg, params_unit)
+def left_block_run():
+    """Long left-block experiment (T=80, m=32, dt=1e-3 at (1,1,1,1)) shared by
+    the front-speed and long-time tests; the same memoized run backs
+    acceptance criteria 5 and 6, so the suite computes it once."""
+    return acceptance._front_run()[0]

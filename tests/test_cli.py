@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from cityroad import cli
 from cityroad.cli import ConfigError, main, parse_config
+from cityroad.front_speed import NoCrossingError
+from cityroad.lattice_sim import BlowUpError
 
 
 def write(tmp_path, text):
@@ -60,7 +63,6 @@ def run_cli(args, tmp_path, extra_env=None):
     """Run ``python -m cityroad.cli`` in ``tmp_path``; callers need ``package_on_pythonpath``."""
     env = dict(os.environ)
     env["CITYROAD_OUTDIR"] = str(tmp_path / "out")
-    env.setdefault("CITYROAD_BACKEND", "auto")
     if extra_env:
         env.update(extra_env)
     proc = subprocess.run(
@@ -68,6 +70,13 @@ def run_cli(args, tmp_path, extra_env=None):
         capture_output=True, text=True, env=env, cwd=str(tmp_path),
     )
     return proc
+
+
+def assert_one_line_error(proc, fragment):
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert fragment in lines[0]
 
 
 @pytest.mark.usefixtures("package_on_pythonpath")
@@ -184,6 +193,23 @@ class TestCommands:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
+    def test_limit_speed_post_check_is_one_line_error(self, tmp_path):
+        # compute_c_star_inf misses its 1e-8 tangency bound at f'(0) = 2 (a
+        # known solver fault); the CLI must report it, not crash.  The fault
+        # does not depend on T, so the run is kept short.
+        proc = run_cli(["asymptotic", "--set", "parameters.fprime0=2",
+                        "--set", "simulation.T=5"], tmp_path)
+        assert proc.returncode == 4, proc.stderr
+        assert_one_line_error(proc, "tangency residual")
+
+    def test_sweep_point_without_crossing_is_one_line_error(self, tmp_path):
+        proc = run_cli(["sweep", "--set", "sweep.parameter=fprime0",
+                        "--set", "sweep.values=1,0.01", "--set", "simulation.T=3",
+                        "--set", "initial.kind=point_mass",
+                        "--set", "initial.amplitude=0.2"], tmp_path)
+        assert proc.returncode == 5, proc.stderr
+        assert_one_line_error(proc, "no downward threshold crossing")
+
     def test_verify_subset(self, tmp_path):
         proc = run_cli(["verify", "--only", "3,4"], tmp_path)
         assert proc.returncode == 0, proc.stderr
@@ -196,3 +222,22 @@ class TestCommands:
         code = main(["speed"])
         assert code == 0
         assert "c_star=" in capsys.readouterr().out
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc,code", [
+        (ValueError("inadmissible"), 2),
+        (BlowUpError("solution reached 1e9"), 3),
+        (RuntimeError("edge bound violated at t=1"), 4),
+        (RuntimeError("first line\nsecond line"), 4),
+        (NoCrossingError("no downward threshold crossing"), 5),
+    ])
+    def test_error_classes_map_to_codes(self, exc, code, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "simulate", fail)
+        monkeypatch.setenv("CITYROAD_OUTDIR", str(tmp_path / "out"))
+        assert main(["simulate"]) == code
+        err = capsys.readouterr().err
+        assert err == "error: " + " ".join(str(exc).split()) + "\n"
