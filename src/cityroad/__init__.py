@@ -36,6 +36,7 @@ from .lattice_sim import (
     check_long_time_convergence,
     compatibility_residuals,
     init_state,
+    run_system,
     simulate,
     step_system,
 )

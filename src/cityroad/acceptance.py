@@ -121,19 +121,14 @@ def criterion_3_steady_fixed_point():
     n = 25
     rho = np.ones(n)
     edges = sample_linear_profiles(stationary_from_rho(rho, p), 32)
-    s = LatticeState(-12, 12, rho, edges, 0.0)
-    s1 = step_system(s, 1e-3, p)
-    cut = 4
-    dev_full = max(
-        float(np.max(np.abs(s1.rho[cut:-cut] - 1.0))),
-        float(np.max(np.abs(s1.edges[cut:-cut] - 1.0))),
-    )
+
+    def interior_dev(s, cut=4):
+        return max(float(np.max(np.abs(s.densities[cut:-cut] - 1.0))),
+                   float(np.max(np.abs(s.edges[cut:-cut] - 1.0))))
+
+    dev_full = interior_dev(step_system(LatticeState(-12, 12, rho, edges, 0.0), 1e-3, p))
     sa = AsymptoticState(-12, 12, np.ones(n - 1), np.ones(n), 0.0)
-    sa1 = step_asymptotic(sa, 0.01, p)
-    dev_asym = max(
-        float(np.max(np.abs(sa1.P[cut:-cut] - 1.0))),
-        float(np.max(np.abs(sa1.V[cut:-cut] - 1.0))),
-    )
+    dev_asym = interior_dev(step_asymptotic(sa, 0.01, p))
     ok = dev_full <= 1e-12 and dev_asym <= 1e-13
     return ok, f"full={dev_full:.2e} (<=1e-12) asymptotic={dev_asym:.2e} (<=1e-13), interior vertices"
 
@@ -269,18 +264,11 @@ def criterion_11_comparison_principle():
         lower, upper = _random_ordered_pair(rng)
         data_lo = InitialData.custom(lower, j_min=-5, edge_mode="stationary")
         data_hi = InitialData.custom(upper, j_min=-5, edge_mode="stationary")
-        tr_lo = simulate(data_lo, cfg_full, p)
-        tr_hi = simulate(data_hi, cfg_full, p)
-        for a, b in zip(tr_lo.snapshots, tr_hi.snapshots):
-            worst_order = max(worst_order, float(np.max(a.rho - b.rho)),
-                              float(np.max(a.edges - b.edges)))
-            worst_neg = min(worst_neg, float(np.min(a.rho)), float(np.min(a.edges)))
-        ta_lo = simulate_asymptotic(data_lo, cfg_asym, p)
-        ta_hi = simulate_asymptotic(data_hi, cfg_asym, p)
-        for a, b in zip(ta_lo.snapshots, ta_hi.snapshots):
-            worst_order = max(worst_order, float(np.max(a.P - b.P)),
-                              float(np.max(a.V - b.V)))
-            worst_neg = min(worst_neg, float(np.min(a.P)), float(np.min(a.V)))
+        for run, cfg in ((simulate, cfg_full), (simulate_asymptotic, cfg_asym)):
+            for a, b in zip(run(data_lo, cfg, p).snapshots, run(data_hi, cfg, p).snapshots):
+                worst_order = max(worst_order, float(np.max(a.densities - b.densities)),
+                                  float(np.max(a.edges - b.edges)))
+                worst_neg = min(worst_neg, float(np.min(a.densities)), float(np.min(a.edges)))
     ok = worst_order <= 1e-10 and worst_neg >= -1e-12
     return ok, f"max_order_violation={worst_order:.2e} (<=1e-10) min_value={worst_neg:.2e} (>=-1e-12)"
 

@@ -13,8 +13,10 @@ whose exponential solutions satisfy Psi(c, mu) = 0 with
 
 The limit speed is the minimum over mu > 0 of the positive root
 c_plus(mu) = (-(2 alpha + 2 beta - f'(0)) + sqrt(DeltaInf)) / (2 mu).  This
-module integrates the ODE lattice with classical RK4 and runs the matched
-convergence experiment against the full simulator.
+module integrates the ODE lattice through the shared driver
+``lattice_sim.run_system``, with one classical RK4 step per road level
+(``kernels.advance_asym``) in place of the Crank-Nicolson edge update, and runs
+the matched convergence experiment against the full simulator.
 """
 
 from __future__ import annotations
@@ -28,19 +30,19 @@ import numpy as np
 from . import kernels
 from .dispersion import golden_section_min
 from .lattice_sim import (
-    BlowUpError,
     InitialData,
     SimulationConfig,
-    _snapshot_contaminated,
+    Trajectory,
+    check_blow_up,
+    check_dt,
     init_state,
+    run_system,
     simulate,
-    stiffness_dt_cap,
 )
 from .model import Parameters
 
 __all__ = [
     "AsymptoticState",
-    "AsymptoticTrajectory",
     "AsymptoticSpeed",
     "AsymptoticDispersion",
     "asymptotic_dispersion_eval",
@@ -49,9 +51,6 @@ __all__ = [
     "simulate_asymptotic",
     "large_d_convergence_experiment",
 ]
-
-_BOUND_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class AsymptoticState:
@@ -85,22 +84,10 @@ class AsymptoticState:
     def js(self) -> np.ndarray:
         return np.arange(self.j_min, self.j_max + 1)
 
-
-@dataclass(frozen=True)
-class AsymptoticTrajectory:
-    snapshots: tuple[AsymptoticState, ...]
-    mass: np.ndarray
-    config: SimulationConfig
-    params: Parameters
-    contaminated: bool
-
     @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.snapshots])
-
-    @property
-    def final(self) -> AsymptoticState:
-        return self.snapshots[-1]
+    def edges(self) -> np.ndarray:
+        """The levels V as flat one-sample road profiles, shape (n_edges, 1)."""
+        return self.V[:, None]
 
 
 class AsymptoticDispersion(NamedTuple):
@@ -166,85 +153,40 @@ def compute_c_star_inf(
     return AsymptoticSpeed(float(mu_star), float(c_inf), psi_res, dpsi_res)
 
 
-def _asym_arrays_from_initial(data: InitialData, cfg: SimulationConfig, p: Parameters):
-    """Matched initialization: P from the vertex data, V from the edge means
+def step_asymptotic(s: AsymptoticState, dt: float, p: Parameters) -> AsymptoticState:
+    """One classical RK4 step of the limit system with absorbing window ends."""
+    check_dt(dt, p)
+    if p.nonlinearity.kind != "logistic":
+        raise NotImplementedError("the limit system supports logistic reactions")
+    V, P, _ = kernels.advance_asym(s.V, s.P, 1, dt, p.alpha, p.beta, p.fprime0)
+    check_blow_up(p, s.V, s.P, V, P, s.time + dt)
+    return AsymptoticState(s.j_min, s.j_max, V, P, s.time + dt)
+
+
+def simulate_asymptotic(data: InitialData, cfg: SimulationConfig, p: Parameters) -> Trajectory:
+    """Integrate the limit system to time T: ``lattice_sim.run_system`` with
+    the RK4 step, looked up on ``kernels`` at each call, and the mass V + P.
+
+    Matched initialization: P from the vertex data, V from the edge means
     (flat edges integrate to their level; stationary-consistent data uses the
-    limit relation V_j = beta/(2 alpha) (P_j + P_{j+1}))."""
-    state = init_state(data, cfg, p)
-    P = state.rho.copy()
+    limit relation V_j = beta/(2 alpha) (P_j + P_{j+1})).  The outflux is
+    integrated inside the RK4 stages, so the reaction-free total is conserved
+    to roundoff."""
+    p.require_unit_length()
+    if p.nonlinearity.kind != "logistic":
+        raise NotImplementedError("the limit system supports logistic reactions")
+    s0 = init_state(data, cfg, p)
+    P = s0.rho.copy()
     if data.edge_mode == "stationary":
         V = p.beta / (2.0 * p.alpha) * (P[:-1] + P[1:])
     else:
         # trapezoid mean of the realized edge profiles (zero or flat)
-        V = state.edges.mean(axis=1)
-    return state.j_min, state.j_max, V, P
-
-
-def step_asymptotic(s: AsymptoticState, dt: float, p: Parameters) -> AsymptoticState:
-    """One classical RK4 step of the limit system with absorbing window ends."""
-    cap = stiffness_dt_cap(p)
-    if dt > cap * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt:g} exceeds the stiffness cap {cap:g}")
-    if p.nonlinearity.kind != "logistic":
-        raise NotImplementedError("the limit system supports logistic reactions")
-    V, P, _ = kernels.advance_asym(s.V, s.P, 1, dt, p.alpha, p.beta, p.fprime0)
-    worst = max(float(np.max(np.abs(V))), float(np.max(np.abs(P))))
-    scale = 10.0 * max(p.beta / p.alpha, 1.0, float(np.max(np.abs(s.V))), float(np.max(np.abs(s.P))))
-    if not math.isfinite(worst) or worst > scale:
-        raise BlowUpError(f"solution reached {worst:.3e}")
-    return AsymptoticState(s.j_min, s.j_max, V, P, s.time + dt)
-
-
-def simulate_asymptotic(
-    data: InitialData, cfg: SimulationConfig, p: Parameters
-) -> AsymptoticTrajectory:
-    """Integrate the limit system to time T with snapshot and mass recording.
-
-    The mass series adds the accumulated boundary outflux (integrated inside
-    the RK4 stages, so the reaction-free total is conserved to roundoff)."""
-    p.require_unit_length()
-    if p.nonlinearity.kind != "logistic":
-        raise NotImplementedError("the limit system supports logistic reactions")
-    cap = stiffness_dt_cap(p)
-    if cfg.dt > cap * (1.0 + 1e-12):
-        raise ValueError(f"dt={cfg.dt:g} exceeds the stiffness cap {cap:g}")
-    nsteps = round(cfg.T / cfg.dt)
-    if nsteps < 1 or abs(nsteps * cfg.dt - cfg.T) > 1e-9 * cfg.T:
-        raise ValueError("T must be a positive integer multiple of dt")
-    stride = cfg.snapshot_stride or max(1, round(nsteps / 200))
-    j_min, j_max, V, P = _asym_arrays_from_initial(data, cfg, p)
-    state0 = AsymptoticState(j_min, j_max, V, P, 0.0)
-    p_hi = max(float(np.max(P)), 1.0) + _BOUND_TOL * max(1.0, float(np.max(P)))
-    v_hi = max(float(np.max(V)), p.beta / p.alpha) + _BOUND_TOL * max(1.0, float(np.max(V)))
-    blow = 10.0 * max(p.beta / p.alpha, 1.0, float(np.max(P)), float(np.max(V)) if len(V) else 0.0)
-    check_left = not data.occupies_left_boundary
-    snapshots = [state0]
-    mass = [float(V.sum() + P.sum())]
-    leak = 0.0
-    contaminated = _snapshot_contaminated(P, check_left)
-    done = 0
-    while done < nsteps:
-        chunk = min(stride, nsteps - done)
-        V, P, dleak = kernels.advance_asym(V, P, chunk, cfg.dt, p.alpha, p.beta, p.fprime0)
-        leak += dleak
-        done += chunk
-        t = done * cfg.dt
-        worst = max(float(np.max(np.abs(V))), float(np.max(np.abs(P))))
-        if not math.isfinite(worst) or worst > blow:
-            raise BlowUpError(f"solution reached {worst:.3e} by t={t:g}")
-        if float(np.min(V)) < -_BOUND_TOL or float(np.min(P)) < -_BOUND_TOL:
-            raise RuntimeError(f"positivity violated at t={t:g}")
-        if float(np.max(P)) > p_hi or float(np.max(V)) > v_hi:
-            raise RuntimeError(f"a-priori bound violated at t={t:g}")
-        contaminated = contaminated or _snapshot_contaminated(P, check_left)
-        snapshots.append(AsymptoticState(j_min, j_max, V, P, t))
-        mass.append(float(V.sum() + P.sum()) + leak)
-    return AsymptoticTrajectory(
-        snapshots=tuple(snapshots),
-        mass=np.array(mass),
-        config=cfg,
-        params=p,
-        contaminated=contaminated,
+        V = s0.edges.mean(axis=1)
+    return run_system(
+        data, cfg, p, V, P,
+        lambda V, P, n: kernels.advance_asym(V, P, n, cfg.dt, p.alpha, p.beta, p.fprime0),
+        lambda V, P, t: AsymptoticState(s0.j_min, s0.j_max, V, P, t),
+        lambda s: float(s.V.sum() + s.P.sum()),
     )
 
 
@@ -287,7 +229,7 @@ def large_d_convergence_experiment(
             if s_full.time < 1.0:
                 continue
             err = max(err, float(np.max(np.abs(s_full.rho[central_v] - s_lim.P[central_v]))))
-            diff = np.abs(s_full.edges[central_e] - s_lim.V[central_e][:, None])
+            diff = np.abs(s_full.edges[central_e] - s_lim.edges[central_e])
             err = max(err, float(np.max(diff)))
         rows.append((float(eps), err))
     return rows

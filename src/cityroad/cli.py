@@ -122,7 +122,7 @@ class ExperimentConfig:
             m=self.raw["simulation.m"],
             window_margin=self.raw["simulation.margin"],
             snapshot_stride=self.raw["simulation.stride"],
-            c_upper_guess=c_up if c_up > 0 else None,
+            c_upper_guess=None if c_up == 0 else c_up,
         )
 
     @property
@@ -325,18 +325,22 @@ def _cmd_asymptotic(cfg: ExperimentConfig) -> int:
     out = cfg.outdir
     _write_csv(out / "asymptotic_vp.csv", ["time", "j", "V", "P"], _asym_blocks(traj))
     _write_csv(out / "asymptotic_mass.csv", ["time", "mass"], _lines(zip(traj.times, traj.mass)))
+    flag = f"contaminated={str(traj.contaminated).lower()}"
     if p.fprime0 > 0:
         inf = compute_c_star_inf(p)
         try:
             trace = estimate_speed(traj, cfg.threshold, cfg.window_fraction)
         except NoCrossingError as exc:
             print(f"front not measurable: {exc}")
+            print(flag)
         else:
             rel = abs(trace.fitted_speed - inf.c_star_inf) / inf.c_star_inf
             print(
                 f"measured_speed={_fmt(trace.fitted_speed)} c_star_inf={_fmt(inf.c_star_inf)} "
-                f"rel_error={_fmt(rel)} contaminated={str(traj.contaminated).lower()}"
+                f"rel_error={_fmt(rel)} {flag}"
             )
+    else:
+        print(flag)
     files = [out / "asymptotic_vp.csv", out / "asymptotic_mass.csv"]
     eps_values = cfg.raw["largeD.eps_values"]
     if eps_values:

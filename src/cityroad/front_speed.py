@@ -80,6 +80,8 @@ def estimate_speed(
     density array; the leftward front of the mirror-symmetric model is
     measured by flipping the index axis.
     """
+    if direction not in ("left", "right"):
+        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
     lo_f, hi_f = window_fraction
     if not (0.0 <= lo_f < hi_f <= 1.0):
         raise ValueError("window fractions must satisfy 0 <= lo < hi <= 1")
@@ -139,14 +141,6 @@ def loglog_fit(fprime0_values, speeds) -> LogLogFit:
     return LogLogFit(float(a1), float(a0), res)
 
 
-def _edge_sup(state, k: np.ndarray) -> float:
-    edges = getattr(state, "edges", None)
-    if edges is None:  # asymptotic states carry per-edge scalars in V
-        vals = state.V[k]
-        return float(np.max(vals)) if len(vals) else 0.0
-    return float(np.max(edges[k])) if len(k) and np.any(k) else 0.0
-
-
 def outer_occupancy(traj, speed: float, factor: float = 1.2, sides: str = "auto") -> float:
     """Sup of vertex and edge values over |j| >= factor * speed * t at the
     final time.  With ``sides='auto'`` only boundaries that started empty are
@@ -176,7 +170,7 @@ def outer_occupancy(traj, speed: float, factor: float = 1.2, sides: str = "auto"
     sup = float(np.max(dens[mask]))
     edge_mask = mask[:-1] & mask[1:]
     if np.any(edge_mask):
-        sup = max(sup, _edge_sup(final, edge_mask))
+        sup = max(sup, float(np.max(final.edges[edge_mask])))
     return sup
 
 
@@ -193,8 +187,5 @@ def inner_deficit(traj, p, speed: float, factor: float = 0.8) -> float:
     deficit = float(np.max(1.0 - dens[mask]))
     edge_mask = mask[:-1] & mask[1:]
     if np.any(edge_mask):
-        target = p.beta / p.alpha
-        edges = getattr(final, "edges", None)
-        vals = final.V[edge_mask] if edges is None else edges[edge_mask]
-        deficit = max(deficit, float(np.max(target - vals)))
+        deficit = max(deficit, float(np.max(p.beta / p.alpha - final.edges[edge_mask])))
     return deficit

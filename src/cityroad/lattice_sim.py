@@ -3,11 +3,13 @@
 One step is an IMEX predictor-corrector: reaction and exchange terms advance
 explicitly, edge diffusion implicitly (Crank-Nicolson), so each step costs one
 product of all edge profiles with the precomputed dense propagator
-(``kernels.advance_lattice``).  The infinite lattice is truncated to a window
-sized from an upper speed guess, with absorbing (zero) exterior; a
-contamination detector flags runs whose front reaches a window boundary that
-started empty.  Mass bookkeeping adds the boundary outflux back so the
-conservation identity of the reaction-free model stays testable on the
+(``kernels.advance_lattice``).  ``run_system`` is the one stepping loop, for
+this system and its fast-diffusion limit (``asymptotic``) alike: each plugs in
+its n-step advance, snapshot type and in-window mass.  The infinite lattice is
+truncated to a window sized from an upper speed guess, with absorbing (zero)
+exterior; a contamination detector flags runs whose front reaches a window
+boundary that started empty.  Mass bookkeeping adds the boundary outflux back
+so the conservation identity of the reaction-free model stays testable on the
 truncated window.
 """
 
@@ -38,12 +40,16 @@ __all__ = [
     "init_state",
     "compatibility_residuals",
     "step_system",
+    "check_dt",
+    "check_blow_up",
+    "run_system",
     "simulate",
     "check_long_time_convergence",
     "stiffness_dt_cap",
 ]
 
-# Additive slack, relative to the data scale, allowed on the a-priori bounds.
+# Additive slack allowed on the a-priori bounds: absolute on positivity,
+# relative to max(1, initial maximum) on each upper bound.
 _BOUND_TOL = 1e-9
 _CONTAMINATION_FACTOR = 1e-8
 
@@ -156,13 +162,18 @@ class SimulationConfig:
             raise ValueError("window margin must be >= 4")
         if self.snapshot_stride < 0:
             raise ValueError("snapshot stride must be >= 0")
+        c_up = self.c_upper_guess
+        if c_up is not None and not (c_up > 0 and math.isfinite(c_up)):
+            raise ValueError(f"c_upper_guess must be finite and positive, got {c_up}")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshot sequence with leak-corrected mass series and run diagnostics."""
+    """Snapshot sequence with leak-corrected mass series and run diagnostics;
+    the limit system's snapshots are ``AsymptoticState``s, its compatibility
+    residual 0 (it has no Robin condition)."""
 
-    snapshots: tuple[LatticeState, ...]
+    snapshots: tuple
     mass: np.ndarray
     config: SimulationConfig
     params: Parameters
@@ -174,7 +185,7 @@ class Trajectory:
         return np.array([s.time for s in self.snapshots])
 
     @property
-    def final(self) -> LatticeState:
+    def final(self):
         return self.snapshots[-1]
 
 
@@ -210,8 +221,6 @@ def init_state(data: InitialData, cfg: SimulationConfig, p: Parameters) -> Latti
     ceil(c_upper * T) + margin vertices on each side."""
     p.require_unit_length()
     c_up = cfg.c_upper_guess if cfg.c_upper_guess is not None else default_c_upper(p)
-    if c_up <= 0:
-        raise ValueError("c_upper_guess must be positive")
     reach = math.ceil(c_up * cfg.T) + cfg.window_margin
     lo, hi = data.support()
     j_min, j_max = lo - reach, hi + reach
@@ -256,9 +265,22 @@ def compatibility_residuals(state: LatticeState, p: Parameters) -> Compatibility
     return CompatibilityReport(left, right)
 
 
-def _blow_up_threshold(p: Parameters, rho: np.ndarray, edges: np.ndarray) -> float:
-    scale = max(p.beta / p.alpha, 1.0, float(np.max(np.abs(rho))), float(np.max(np.abs(edges))))
-    return 10.0 * scale
+def check_dt(dt: float, p: Parameters) -> None:
+    """Reject a step over the stiffness cap of the explicit part."""
+    cap = stiffness_dt_cap(p)
+    if dt > cap * (1.0 + 1e-12):
+        raise ValueError(f"dt={dt:g} exceeds the stiffness cap {cap:g}")
+
+
+def check_blow_up(p: Parameters, v0, rho0, v, rho, t: float) -> None:
+    """Raise BlowUpError unless edges ``v`` and vertices ``rho`` at time t are
+    finite and within 10 max(beta/alpha, 1, |v0|, |rho0|), the scale of the
+    state (v0, rho0) they were advanced from."""
+    threshold = 10.0 * max(p.beta / p.alpha, 1.0, float(np.max(np.abs(rho0))),
+                           float(np.max(np.abs(v0))))
+    worst = max(float(np.max(np.abs(rho))), float(np.max(np.abs(v))))
+    if not math.isfinite(worst) or worst > threshold:
+        raise BlowUpError(f"solution reached {worst:.3e} by t={t:g}, threshold {threshold:.3e}")
 
 
 def step_system(s: LatticeState, dt: float, p: Parameters) -> LatticeState:
@@ -267,78 +289,78 @@ def step_system(s: LatticeState, dt: float, p: Parameters) -> LatticeState:
     against the blow-up threshold."""
     p.require_unit_length()
     op = assemble_step_operator(s.m, dt, p)
-    v_new, rho_new, _ = kernels.advance_lattice(
+    v, rho, _ = kernels.advance_lattice(
         s.edges, s.rho, 1, dt, p.alpha, p.beta, p.nonlinearity, op
     )
-    threshold = _blow_up_threshold(p, s.rho, s.edges)
-    worst = max(float(np.max(np.abs(rho_new))), float(np.max(np.abs(v_new))))
-    if not math.isfinite(worst) or worst > threshold:
-        raise BlowUpError(f"solution reached {worst:.3e}, threshold {threshold:.3e}")
-    return LatticeState(s.j_min, s.j_max, rho_new, v_new, s.time + dt)
+    check_blow_up(p, s.edges, s.rho, v, rho, s.time + dt)
+    return LatticeState(s.j_min, s.j_max, rho, v, s.time + dt)
 
 
-def _check_bounds(rho, edges, rho_hi, v_hi, scale, time):
-    tol = _BOUND_TOL * scale
-    lo = min(float(np.min(rho)), float(np.min(edges)))
-    if lo < -tol:
-        raise RuntimeError(f"positivity violated at t={time:g}: min value {lo:.3e}")
-    if float(np.max(rho)) > rho_hi + tol:
-        raise RuntimeError(f"vertex bound violated at t={time:g}")
-    if float(np.max(edges)) > v_hi + tol:
-        raise RuntimeError(f"edge bound violated at t={time:g}")
-
-
-def simulate(data: InitialData, cfg: SimulationConfig, p: Parameters) -> Trajectory:
-    """Run the coupled system to time T, recording ~200 snapshots, the
-    leak-corrected mass series, and the a-priori-bound checks at every
-    snapshot."""
-    p.require_unit_length()
-    cap = stiffness_dt_cap(p)
-    if cfg.dt > cap * (1.0 + 1e-12):
-        raise ValueError(f"dt={cfg.dt:g} exceeds the stiffness cap {cap:g}")
+def run_system(data: InitialData, cfg: SimulationConfig, p: Parameters, v, rho,
+               advance, snapshot, mass, compat: float = 0.0) -> Trajectory:
+    """Step edges ``v`` and vertices ``rho`` (realized from ``data``) to time
+    T with ``advance(v, rho, n) -> (v, rho, leak)``, recording
+    ``snapshot(v, rho, t)`` every stride steps (~200 snapshots by default)
+    and ``mass(snapshot)`` plus the accumulated leak.  Each snapshot is
+    checked for blow-up, contamination and the a-priori bounds: values >= 0,
+    vertices <= max(1, max rho0), edges <= max(beta/alpha, max v0), each to
+    within _BOUND_TOL (relative to max(1, initial max) on the upper bounds)."""
+    check_dt(cfg.dt, p)
     nsteps = round(cfg.T / cfg.dt)
     if nsteps < 1 or abs(nsteps * cfg.dt - cfg.T) > 1e-9 * cfg.T:
         raise ValueError("T must be a positive integer multiple of dt")
     stride = cfg.snapshot_stride or max(1, round(nsteps / 200))
 
-    state0 = init_state(data, cfg, p)
-    compat = compatibility_residuals(state0, p).max_residual
-    rho, v = state0.rho, state0.edges
-    rho_hi = max(float(np.max(rho)), 1.0)
-    v_hi = max(p.beta / p.alpha, float(np.max(v)))
-    scale = max(rho_hi, v_hi)
-    blow = _blow_up_threshold(p, rho, v)
+    v0, rho0 = v, rho
+    rho_max0, v_max0 = float(np.max(rho)), float(np.max(v))
+    rho_hi = max(rho_max0, 1.0) + _BOUND_TOL * max(1.0, rho_max0)
+    v_hi = max(v_max0, p.beta / p.alpha) + _BOUND_TOL * max(1.0, v_max0)
     check_left = not data.occupies_left_boundary
 
-    op = assemble_step_operator(cfg.m, cfg.dt, p)
-
-    snapshots = [state0]
-    mass = [total_mass(state0)]
+    snapshots = [snapshot(v, rho, 0.0)]
+    series = [mass(snapshots[0])]
     leak = 0.0
     contaminated = _snapshot_contaminated(rho, check_left)
     done = 0
     while done < nsteps:
         chunk = min(stride, nsteps - done)
-        v, rho, dleak = kernels.advance_lattice(
-            v, rho, chunk, cfg.dt, p.alpha, p.beta, p.nonlinearity, op
-        )
+        v, rho, dleak = advance(v, rho, chunk)
         leak += dleak
         done += chunk
         t = done * cfg.dt
-        worst = max(float(np.max(np.abs(rho))), float(np.max(np.abs(v))))
-        if not math.isfinite(worst) or worst > blow:
-            raise BlowUpError(f"solution reached {worst:.3e} by t={t:g}")
-        _check_bounds(rho, v, rho_hi, v_hi, scale, t)
+        check_blow_up(p, v0, rho0, v, rho, t)
+        lo = min(float(np.min(rho)), float(np.min(v)))
+        if lo < -_BOUND_TOL:
+            raise RuntimeError(f"positivity violated at t={t:g}: min value {lo:.3e}")
+        if float(np.max(rho)) > rho_hi:
+            raise RuntimeError(f"vertex bound violated at t={t:g}")
+        if float(np.max(v)) > v_hi:
+            raise RuntimeError(f"edge bound violated at t={t:g}")
         contaminated = contaminated or _snapshot_contaminated(rho, check_left)
-        snapshots.append(LatticeState(state0.j_min, state0.j_max, rho, v, t))
-        mass.append(total_mass(snapshots[-1]) + leak)
+        snapshots.append(snapshot(v, rho, t))
+        series.append(mass(snapshots[-1]) + leak)
     return Trajectory(
         snapshots=tuple(snapshots),
-        mass=np.array(mass),
+        mass=np.array(series),
         config=cfg,
         params=p,
         contaminated=contaminated,
         compat_max_residual=compat,
+    )
+
+
+def simulate(data: InitialData, cfg: SimulationConfig, p: Parameters) -> Trajectory:
+    """Run the coupled system to time T: ``run_system`` with the IMEX step,
+    looked up on ``kernels`` at each call."""
+    p.require_unit_length()
+    s0 = init_state(data, cfg, p)
+    op = assemble_step_operator(cfg.m, cfg.dt, p)
+    return run_system(
+        data, cfg, p, s0.edges, s0.rho,
+        lambda v, rho, n: kernels.advance_lattice(
+            v, rho, n, cfg.dt, p.alpha, p.beta, p.nonlinearity, op),
+        lambda v, rho, t: LatticeState(s0.j_min, s0.j_max, rho, v, t),
+        total_mass, compat=compatibility_residuals(s0, p).max_residual,
     )
 
 

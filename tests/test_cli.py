@@ -192,6 +192,21 @@ class TestCommands:
         proc = run_cli(["simulate", "--set", "parameters.alpha=-2"], tmp_path)
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+        # only c_upper = 0 means automatic; inf, nan and negative speeds are
+        # rejected by name before anything runs
+        for value in ("inf", "nan", "-1"):
+            proc = run_cli(["simulate", "--set", f"simulation.c_upper={value}"], tmp_path)
+            assert proc.returncode == 2, (value, proc.stderr)
+            assert_one_line_error(proc, "c_upper_guess")
+
+    def test_asymptotic_unmeasurable_front_reports_contamination(self, tmp_path):
+        # a point mass below the threshold never forms a front, and the short
+        # run's window is contaminated: the exit code 1 must be explained
+        proc = run_cli(["asymptotic", "--set", "initial.kind=point_mass",
+                        "--set", "initial.amplitude=0.2", "--set", "simulation.T=3"], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert "front not measurable" in proc.stdout
+        assert "contaminated=true" in proc.stdout.splitlines()
 
     def test_limit_speed_post_check_is_one_line_error(self, tmp_path):
         # compute_c_star_inf misses its 1e-8 tangency bound at f'(0) = 2 (a
@@ -216,6 +231,14 @@ class TestCommands:
         lines = [l for l in proc.stdout.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 2
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_asymptotic_reaction_free_reports_contamination(self, tmp_path, monkeypatch,
+                                                              capsys):
+        monkeypatch.setenv("CITYROAD_OUTDIR", str(tmp_path / "out"))
+        code = main(["asymptotic", "--set", "parameters.fprime0=0",
+                     "--set", "simulation.T=2", "--set", "simulation.dt=0.01"])
+        flags = [l for l in capsys.readouterr().out.splitlines() if l.startswith("contaminated=")]
+        assert flags == [f"contaminated={str(code == 1).lower()}"]
 
     def test_main_entry_in_process(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CITYROAD_OUTDIR", str(tmp_path / "out2"))

@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from cityroad.asymptotic import AsymptoticState
 from cityroad.front_speed import (
     NoCrossingError,
     estimate_speed,
@@ -11,6 +12,7 @@ from cityroad.front_speed import (
     loglog_fit,
     outer_occupancy,
 )
+from cityroad.lattice_sim import SimulationConfig, Trajectory
 
 
 @dataclass
@@ -89,6 +91,11 @@ class TestEstimateSpeed:
         trace = estimate_speed(traj, 0.5, (0.5, 1.0), direction="left")
         assert trace.fitted_speed == pytest.approx(-1.5, abs=1e-10)
 
+    def test_unknown_direction_rejected(self):
+        traj = synthetic_trajectory(speed=1.0)
+        with pytest.raises(ValueError, match="direction"):
+            estimate_speed(traj, 0.5, (0.5, 1.0), direction="up")
+
     def test_measured_vs_theory(self, left_block_run, c_star_unit):
         trace = estimate_speed(left_block_run, 0.5, (30 / 80, 60 / 80))
         rel = abs(trace.fitted_speed - c_star_unit.c_star) / c_star_unit.c_star
@@ -121,6 +128,24 @@ class TestDichotomyChecks:
         both = outer_occupancy(left_block_run, 0.6, factor=1.2, sides="both")
         assert auto < 1e-3
         assert both > 0.9
+
+    def test_limit_trajectory_edges_come_from_V(self, params_unit):
+        # hand-built limit run on j = -10..10 at t = 10, speed 0.5: the
+        # vertices sit exactly at the invaded state inside and at 0 outside,
+        # so each check reads its value off the road levels V alone
+        js = np.arange(-10, 11)
+        P = np.where(np.abs(js) <= 4, 1.0, 0.0)
+        V = np.zeros(20)  # edge k joins js[k] and js[k + 1]
+        V[6:14] = 1.0  # edges inside |j| <= 4
+        V[10] = 0.7  # edge (0, 1), inside the inner cutoff 0.8 * 0.5 * 10 = 4
+        V[18] = 0.25  # edge (8, 9), past the outer cutoff 1.2 * 0.5 * 10 = 6
+        snaps = (AsymptoticState(-10, 10, np.zeros(20), np.zeros(21), 0.0),
+                 AsymptoticState(-10, 10, V, P, 10.0))
+        assert snaps[1].edges.shape == (20, 1)
+        traj = Trajectory(snaps, np.zeros(2), SimulationConfig(T=10.0, dt=0.01), params_unit,
+                          False, 0.0)
+        assert outer_occupancy(traj, 0.5, factor=1.2) == 0.25
+        assert inner_deficit(traj, params_unit, 0.5, factor=0.8) == pytest.approx(0.3, abs=1e-15)
 
 
 class TestLogLogFit:

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from cityroad import kernels
+from cityroad.asymptotic import simulate_asymptotic
 from cityroad.lattice_sim import (
     BlowUpError,
     InitialData,
     SimulationConfig,
+    Trajectory,
     check_long_time_convergence,
     compatibility_residuals,
     init_state,
@@ -27,6 +30,19 @@ from cityroad.model import (
 @pytest.fixture
 def p():
     return Parameters(1.0, 1.0, 1.0, nonlinearity=logistic(1.0))
+
+
+# Both systems run through one driver; each test that checks the driver's
+# contract runs it once per system.
+DRIVERS = (simulate, simulate_asymptotic)
+
+
+def in_window_mass(state):
+    """The mass each system's series starts from: total_mass for the coupled
+    system, the sum V + P for the limit system."""
+    if isinstance(state, LatticeState):
+        return total_mass(state)
+    return float(state.V.sum() + state.P.sum())
 
 
 def steady_state(p, n=21, m=16):
@@ -62,6 +78,11 @@ class TestInitState:
     def test_negative_data_rejected(self):
         with pytest.raises(ValueError):
             InitialData.custom([-0.1, 0.5], j_min=0)
+
+    @pytest.mark.parametrize("c_up", [math.inf, math.nan, -1.0, 0.0])
+    def test_bad_c_upper_rejected(self, c_up):
+        with pytest.raises(ValueError, match="c_upper_guess"):
+            SimulationConfig(T=1.0, c_upper_guess=c_up)
 
     def test_compatibility_reported_not_enforced(self, p):
         cfg = SimulationConfig(T=1.0, dt=1e-3, m=8, c_upper_guess=1.0)
@@ -119,8 +140,31 @@ class TestSimulate:
     def test_dt_cap_enforced(self, p):
         cfg = SimulationConfig(T=1.0, dt=0.2, m=8, c_upper_guess=1.0)
         assert stiffness_dt_cap(p) == pytest.approx(0.05)
-        with pytest.raises(ValueError):
-            simulate(InitialData.left_block(), cfg, p)
+        for run in DRIVERS:
+            with pytest.raises(ValueError, match="stiffness cap"):
+                run(InitialData.left_block(), cfg, p)
+
+    def test_T_must_be_a_multiple_of_dt(self, p):
+        for T in (1.0, 1e-3):  # 333.3 steps, then 0.33 steps
+            cfg = SimulationConfig(T=T, dt=3e-3, m=8, c_upper_guess=1.0)
+            for run in DRIVERS:
+                with pytest.raises(ValueError, match="multiple of dt"):
+                    run(InitialData.point_mass(0, 0.5), cfg, p)
+
+    def test_snapshot_count_and_final_time(self, p):
+        data = InitialData.point_mass(0, 0.5)
+        # 100 steps in chunks of 30: the last chunk is short
+        strided = SimulationConfig(T=1.0, dt=0.01, m=8, c_upper_guess=1.0, snapshot_stride=30)
+        default = SimulationConfig(T=1.0, dt=1e-3, m=8, c_upper_guess=1.0)  # stride 5
+        for run in DRIVERS:
+            traj = run(data, strided, p)
+            assert isinstance(traj, Trajectory)
+            assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=0, atol=1e-15)
+            assert traj.final.time == 1.0
+            assert len(traj.mass) == 5
+            traj = run(data, default, p)
+            assert len(traj.snapshots) == len(traj.mass) == 201
+            assert traj.final.time == 1.0
 
     def test_ordering_preserved(self, p):
         lower = InitialData.custom(np.full(9, 0.3), j_min=-4, edge_mode="stationary")
@@ -164,8 +208,8 @@ class TestSimulate:
     def test_contamination_flagged(self, p):
         # undersized window on purpose: the front reaches the boundary
         cfg = SimulationConfig(T=30.0, dt=2.5e-3, m=8, c_upper_guess=0.05)
-        traj = simulate(InitialData.point_mass(0, 0.5), cfg, p)
-        assert traj.contaminated
+        for run in DRIVERS:
+            assert run(InitialData.point_mass(0, 0.5), cfg, p).contaminated, run.__name__
 
     def test_mass_conservation_reaction_free(self):
         p0 = Parameters(1.0, 1.0, 1.0, nonlinearity=logistic(0.0))
@@ -176,10 +220,29 @@ class TestSimulate:
 
     def test_mass_column_matches_state_plus_leak(self, p):
         cfg = SimulationConfig(T=0.5, dt=1e-3, m=8, c_upper_guess=1.0, snapshot_stride=250)
-        traj = simulate(InitialData.point_mass(0, 0.5), cfg, p)
-        # at t=0 there is no leak yet
-        assert traj.mass[0] == pytest.approx(total_mass(traj.snapshots[0]))
-        assert traj.mass[-1] >= total_mass(traj.final) - 1e-12
+        for run in DRIVERS:
+            traj = run(InitialData.point_mass(0, 0.5), cfg, p)
+            # at t=0 there is no leak yet
+            assert traj.mass[0] == in_window_mass(traj.snapshots[0])
+            assert traj.mass[-1] >= in_window_mass(traj.final) - 1e-12
+
+
+class TestKernelLookup:
+    def test_driver_steps_through_module_kernels(self, p, monkeypatch):
+        # wrappers installed on the kernels module (as a tracer does) must see
+        # every step: the systems look their kernel up at each call
+        steps = {"advance_lattice": 0, "advance_asym": 0}
+        for name in steps:
+            def counting(v, rho, nsteps, *args, _name=name, _kernel=getattr(kernels, name)):
+                steps[_name] += nsteps
+                return _kernel(v, rho, nsteps, *args)
+
+            monkeypatch.setattr(kernels, name, counting)
+        cfg = SimulationConfig(T=1.0, dt=0.01, m=8, c_upper_guess=1.0, snapshot_stride=30)
+        simulate(InitialData.point_mass(0, 0.5), cfg, p)
+        assert steps == {"advance_lattice": 100, "advance_asym": 0}
+        simulate_asymptotic(InitialData.point_mass(0, 0.5), cfg, p)
+        assert steps == {"advance_lattice": 100, "advance_asym": 100}
 
 
 class TestLongTime:
