@@ -18,7 +18,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -214,9 +213,12 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_all(values: np.ndarray):
-    """The floats of an array, each as _fmt prints it."""
-    return map(format, values.tolist(), repeat(".17g"))
+def _filled(template: str, t: str, values: np.ndarray) -> str:
+    """One block of CSV lines: ``template`` with each ``{t}`` set to the
+    time ``t`` and its ``%.17g`` slots filled with ``values`` in row-major
+    order (``'%.17g' % x`` prints exactly what _fmt prints, nan and -0
+    included)."""
+    return template.replace("{t}", t) % tuple(values.ravel().tolist())
 
 
 def _write_csv(path: Path, header: list[str], blocks) -> None:
@@ -254,21 +256,23 @@ def _cmd_speed(cfg: ExperimentConfig) -> int:
 
 
 def _trajectory_blocks(traj):
-    """time,j,rho lines, one block per snapshot."""
+    """time,j,rho lines, one block per snapshot (the window is the run's)."""
+    s0 = traj.final
+    template = "".join(f"{{t}},{j},%.17g\n" for j in range(s0.j_min, s0.j_max + 1))
     for s in traj.snapshots:
-        t = _fmt(s.time)
-        yield "".join(f"{t},{j},{r}\n"
-                      for j, r in zip(range(s.j_min, s.j_max + 1), _fmt_all(s.rho)))
+        yield _filled(template, _fmt(s.time), s.rho)
 
 
 def _edge_blocks(traj):
-    """time,j,x,v lines, one block per snapshot."""
-    m = traj.final.m
-    x = list(_fmt_all(np.arange(m + 1) / m))
+    """time,j,x,v lines, one block per edge and snapshot (the window is the run's)."""
+    s0 = traj.final
+    x = [_fmt(xi) for xi in np.arange(s0.m + 1) / s0.m]
+    templates = ["".join(f"{{t}},{j},{xi},%.17g\n" for xi in x)
+                 for j in range(s0.j_min, s0.j_max)]
     for s in traj.snapshots:
         t = _fmt(s.time)
-        for j, row in zip(range(s.j_min, s.j_max), s.edges):
-            yield "".join(f"{t},{j},{xi},{vi}\n" for xi, vi in zip(x, _fmt_all(row)))
+        for template, row in zip(templates, s.edges):
+            yield _filled(template, t, row)
 
 
 def _window_sized(cfg: ExperimentConfig, p: Parameters, c_star: float | None) -> SimulationConfig:
@@ -310,13 +314,12 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def _asym_blocks(traj):
-    """time,j,V,P lines, one block per snapshot; the last vertex has no edge
-    and gets V = nan."""
+    """time,j,V,P lines, one block per snapshot (the window is the run's);
+    the last vertex has no edge and gets V = nan."""
+    s0 = traj.final
+    template = "".join(f"{{t}},{j},%.17g,%.17g\n" for j in range(s0.j_min, s0.j_max + 1))
     for s in traj.snapshots:
-        t = _fmt(s.time)
-        V = [*_fmt_all(s.V), _fmt(math.nan)]
-        yield "".join(f"{t},{j},{v},{pj}\n"
-                      for j, v, pj in zip(range(s.j_min, s.j_max + 1), V, _fmt_all(s.P)))
+        yield _filled(template, _fmt(s.time), np.column_stack((np.append(s.V, math.nan), s.P)))
 
 
 def _cmd_asymptotic(cfg: ExperimentConfig) -> int:
@@ -357,18 +360,28 @@ def _cmd_asymptotic(cfg: ExperimentConfig) -> int:
 
 
 def _sweep_point(args):
+    """One sweep point: its row (param, value, c_theory, c_measured,
+    rel_error, status), its contamination flag and the error that stopped
+    it, if any (status is then the error's class and the unknown columns
+    are nan)."""
     raw, name, value = args
     cfg = ExperimentConfig(dict(raw))
     cfg.raw[f"parameters.{name}"] = value
-    p = cfg.normalized_parameters
-    theory = compute_c_star(p).c_star
-    traj = simulate(cfg.initial_data, _window_sized(cfg, p, theory), p)
-    trace = estimate_speed(traj, cfg.threshold, cfg.window_fraction)
+    theory = math.nan
+    try:
+        p = cfg.normalized_parameters
+        theory = compute_c_star(p).c_star
+        traj = simulate(cfg.initial_data, _window_sized(cfg, p, theory), p)
+        trace = estimate_speed(traj, cfg.threshold, cfg.window_fraction)
+    except (ValueError, RuntimeError) as exc:
+        return (name, value, theory, math.nan, math.nan, type(exc).__name__), False, exc
     rel = abs(trace.fitted_speed - theory) / theory
-    return (name, value, theory, trace.fitted_speed, rel, traj.contaminated)
+    return (name, value, theory, trace.fitted_speed, rel, "ok"), traj.contaminated, None
 
 
 def _cmd_sweep(cfg: ExperimentConfig, parallel: bool = False) -> int:
+    """Run every point and write all of their rows; then the first failed
+    point's error (in sweep order) decides the exit code."""
     name = cfg.raw["sweep.parameter"]
     values = cfg.raw["sweep.values"]
     if not values:
@@ -379,15 +392,21 @@ def _cmd_sweep(cfg: ExperimentConfig, parallel: bool = False) -> int:
             results = list(pool.map(_sweep_point, jobs))
     else:
         results = [_sweep_point(job) for job in jobs]
-    rows = [(n, v, th, ms, rel) for (n, v, th, ms, rel, _) in results]
     _write_csv(cfg.outdir / "sweep.csv",
-               ["param", "value", "c_theory", "c_measured", "rel_error"], _lines(rows))
+               ["param", "value", "c_theory", "c_measured", "rel_error", "status"],
+               _lines(row for row, _, _ in results))
     contaminated = False
-    for n, v, th, ms, rel, bad in results:
+    for (n, v, th, ms, rel, status), bad, _ in results:
+        if status != "ok":
+            print(f"{n}={_fmt(v)} status={status}")
+            continue
         flag = " (window contaminated)" if bad else ""
         contaminated = contaminated or bad
         print(f"{n}={_fmt(v)} c_theory={_fmt(th)} c_measured={_fmt(ms)} rel_error={_fmt(rel)}{flag}")
     print(f"wrote {cfg.outdir / 'sweep.csv'}")
+    failure = next((exc for _, _, exc in results if exc is not None), None)
+    if failure is not None:
+        raise failure
     return 1 if contaminated else 0
 
 

@@ -101,18 +101,17 @@ class StepOperator:
     load_coeff: float
     step_matrix: np.ndarray
 
-    def apply(self, values, g_left_avg, g_right_avg, out=None) -> np.ndarray:
+    def apply(self, values, g_left_avg, g_right_avg) -> np.ndarray:
         """One step of a single edge (1-d values, scalar loads) or of a batch
         (rows of values, one load per row) as one matrix product of
-        [values | g_left | g_right] with ``step_matrix``; ``out`` receives
-        the result."""
+        [values | g_left | g_right] with ``step_matrix``."""
         values = np.asarray(values, dtype=float)
         n = self.m + 1
         w = np.empty(values.shape[:-1] + (n + 2,))
         w[..., :n] = values
         w[..., n] = g_left_avg
         w[..., n + 1] = g_right_avg
-        return np.matmul(w, self.step_matrix, out=out)
+        return np.matmul(w, self.step_matrix)
 
 
 @lru_cache(maxsize=64)

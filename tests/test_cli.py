@@ -1,7 +1,10 @@
+import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from cityroad import cli
@@ -157,10 +160,27 @@ class TestCommands:
         )
         assert proc.returncode == 0, proc.stderr
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "param,value,c_theory,c_measured,rel_error"
+        assert lines[0] == "param,value,c_theory,c_measured,rel_error,status"
         assert len(lines) == 3
         rel = [float(l.split(",")[4]) for l in lines[1:]]
         assert max(rel) < 0.2  # coarse, short run
+        assert [l.split(",")[5] for l in lines[1:]] == ["ok", "ok"]
+
+    def test_sweep_keeps_every_row(self, tmp_path):
+        # at f'(0) = 0.01 the block never forms a front by T = 10; the point
+        # before it still gets its row, and the failure keeps its exit code
+        args = ["sweep", "--set", "sweep.parameter=fprime0", "--set", "sweep.values=1,0.01",
+                "--set", "simulation.T=10", "--set", "simulation.m=8",
+                "--set", "simulation.dt=0.002"]
+        for extra in ([], ["--parallel"]):
+            proc = run_cli(args + extra, tmp_path)
+            assert proc.returncode == 5, proc.stderr
+            assert_one_line_error(proc, "no downward threshold crossing")
+            rows = [l.split(",") for l in
+                    (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]]
+            assert [(r[1], r[5]) for r in rows] == [("1", "ok"), ("0.01", "NoCrossingError")]
+            assert float(rows[0][3]) > 0 and rows[1][3:5] == ["nan", "nan"]
+            assert "fprime0=0.01 status=NoCrossingError" in proc.stdout.splitlines()
 
     def test_simulate_default_run_invades_center(self, tmp_path, monkeypatch, capsys):
         # default config: left block, T=50; by then the front is well past the
@@ -264,3 +284,34 @@ class TestExitCodes:
         assert main(["simulate"]) == code
         err = capsys.readouterr().err
         assert err == "error: " + " ".join(str(exc).split()) + "\n"
+
+
+class TestWriter:
+    """The CSV blocks print every float as format(x, '.17g') does."""
+
+    VALUES = [-0.0, float("nan"), 1e-300, 0.1]
+
+    def snapshot(self, **arrays):
+        return SimpleNamespace(j_min=-1, j_max=2, time=0.25, **arrays)
+
+    def check(self, blocks, snap, want_rows):
+        traj = SimpleNamespace(snapshots=(snap,), final=snap)
+        want = "".join(",".join(row) + "\n" for row in want_rows)
+        assert "".join(blocks(traj)) == want
+
+    def test_special_values(self):
+        fmt = [format(x, ".17g") for x in self.VALUES]
+        assert fmt[:2] == ["-0", "nan"]
+        rho = np.array(self.VALUES)
+        self.check(cli._trajectory_blocks, self.snapshot(rho=rho),
+                   [("0.25", str(j), f) for j, f in zip(range(-1, 3), fmt)])
+        edges = np.array([self.VALUES[:3], self.VALUES[1:], self.VALUES[::-1][:3]])
+        snap = self.snapshot(edges=edges, m=2)
+        self.check(cli._edge_blocks, snap,
+                   [("0.25", str(j), xi, format(x, ".17g"))
+                    for j, row in zip(range(-1, 2), edges.tolist())
+                    for xi, x in zip(("0", "0.5", "1"), row)])
+        V, P = np.array(self.VALUES[:3]), np.array(self.VALUES[::-1])
+        self.check(cli._asym_blocks, self.snapshot(V=V, P=P),
+                   [("0.25", str(j), format(v, ".17g"), format(pj, ".17g"))
+                    for j, v, pj in zip(range(-1, 3), [*V.tolist(), math.nan], P.tolist())])
