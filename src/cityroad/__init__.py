@@ -12,17 +12,14 @@ from .model import (
     LatticeState,
     NonlinearityDescriptor,
     Parameters,
-    eval_nonlinearity,
     logistic,
     rescale_to_unit_length,
     stationary_from_rho,
     stationary_residual,
-    tabulated,
     total_mass,
 )
 from .edge_solver import (
     RobinStepInput,
-    TridiagonalOperator,
     assemble_step_operator,
     integral_representation_oracle,
     manufactured_solution_error,

@@ -52,6 +52,12 @@ __all__ = [
     "large_d_convergence_experiment",
 ]
 
+# Geometric mu grid that brackets the minimum of c_plus before golden section;
+# a minimum on the scan endpoint widens the range tenfold each way, once.
+_GRID_POINTS = 2000
+_MU_RANGE = (1e-4, 50.0)
+
+
 @dataclass(frozen=True)
 class AsymptoticState:
     """Window snapshot of the limit system: per-edge V and per-vertex P."""
@@ -122,16 +128,14 @@ def _dpsi_dmu(mu: float, c: float, p: Parameters) -> float:
     return 4.0 * alpha * beta * math.sinh(mu) / math.sqrt(delta) - 2.0 * c
 
 
-def compute_c_star_inf(
-    p: Parameters, grid_points: int = 2000, mu_range: tuple[float, float] = (1e-4, 50.0)
-) -> AsymptoticSpeed:
+def compute_c_star_inf(p: Parameters) -> AsymptoticSpeed:
     """Minimize c_plus over mu > 0 (geometric grid plus golden section) and
     verify the tangency conditions Psi = 0 and dPsi/dmu = 0 at the optimum."""
     if p.fprime0 <= 0:
         raise ValueError("limit speed needs f'(0) > 0")
-    lo, hi = mu_range
+    lo, hi = _MU_RANGE
     for _ in range(2):
-        mus = np.geomspace(lo, hi, grid_points)
+        mus = np.geomspace(lo, hi, _GRID_POINTS)
         cs = np.array([asymptotic_dispersion_eval(m, 0.0, p).c_plus for m in mus])
         i_min = int(np.argmin(cs))
         if 0 < i_min < len(mus) - 1:
@@ -156,8 +160,6 @@ def compute_c_star_inf(
 def step_asymptotic(s: AsymptoticState, dt: float, p: Parameters) -> AsymptoticState:
     """One classical RK4 step of the limit system with absorbing window ends."""
     check_dt(dt, p)
-    if p.nonlinearity.kind != "logistic":
-        raise NotImplementedError("the limit system supports logistic reactions")
     V, P, _ = kernels.advance_asym(s.V, s.P, 1, dt, p.alpha, p.beta, p.fprime0)
     check_blow_up(p, s.V, s.P, V, P, s.time + dt)
     return AsymptoticState(s.j_min, s.j_max, V, P, s.time + dt)
@@ -173,8 +175,6 @@ def simulate_asymptotic(data: InitialData, cfg: SimulationConfig, p: Parameters)
     integrated inside the RK4 stages, so the reaction-free total is conserved
     to roundoff."""
     p.require_unit_length()
-    if p.nonlinearity.kind != "logistic":
-        raise NotImplementedError("the limit system supports logistic reactions")
     s0 = init_state(data, cfg, p)
     P = s0.rho.copy()
     if data.edge_mode == "stationary":

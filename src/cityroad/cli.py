@@ -51,16 +51,14 @@ _EXIT_CODES = (
     (RuntimeError, 4),
 )
 
-# key -> (converter, default); the standard (1,1,1,1) defaults drive every
-# command out of the box.
-_BOOLEANS = {"true": True, "false": False}
-
 
 def _floats_list(text: str):
     parts = [p.strip() for p in text.split(",") if p.strip()]
     return [float(x) for x in parts]
 
 
+# key -> (converter, default); the standard (1,1,1,1) defaults drive every
+# command out of the box.
 _SCHEMA = {
     "parameters.alpha": (float, 1.0),
     "parameters.beta": (float, 1.0),
@@ -411,8 +409,14 @@ def _cmd_sweep(cfg: ExperimentConfig, parallel: bool = False) -> int:
 
 
 def _cmd_verify(only: list[int] | None) -> int:
-    from .acceptance import run_criteria
+    from .acceptance import CRITERIA, run_criteria
 
+    if only is not None:
+        numbers = [number for number, _, _ in CRITERIA]
+        unknown = ",".join(str(n) for n in only if n not in numbers)
+        if unknown or not only:
+            raise ConfigError(f"--only takes criterion numbers {numbers[0]}-{numbers[-1]}, "
+                              f"got {unknown or 'none'}")
     results = run_criteria(only=only)
     return 0 if all(r.passed for r in results) else 1
 

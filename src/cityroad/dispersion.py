@@ -42,6 +42,9 @@ __all__ = [
 _TAYLOR_SWITCH = 1e-4
 _LOG_SWITCH = 300.0
 _HUGE_LOG = 709.0  # ~ log of float64 max
+# The c* scan: points of the geometric lambda grid and its upper end over lambda0.
+_GRID_POINTS = 2000
+_GRID_SPAN = 1e4
 
 
 @dataclass(frozen=True)
@@ -235,12 +238,10 @@ def _c_of_lambda(lam: float, p: Parameters) -> float:
     return float(c[0])
 
 
-def compute_c_star(
-    p: Parameters, grid_points: int = 2000, grid_span: float = 1e4
-) -> DispersionResult:
+def compute_c_star(p: Parameters) -> DispersionResult:
     """Minimal speed c* = min over lambda > lambda0 of lambda / mu(lambda).
 
-    A geometric grid over (lambda0 (1 + 1e-6), lambda0 * grid_span) locates the
+    A geometric grid over (lambda0 (1 + 1e-6), lambda0 * _GRID_SPAN) locates the
     global minimum, golden-section search refines it to relative tolerance
     1e-10, and the scan endpoints are checked to exceed the minimum.  An
     endpoint grid minimum triggers one automatic 10x extension of the upper
@@ -249,9 +250,9 @@ def compute_c_star(
     p.require_unit_length()
     lam0 = find_lambda0(p)
     lo = lam0 * (1.0 + 1e-6)
-    hi = lam0 * grid_span
+    hi = lam0 * _GRID_SPAN
     for _ in range(2):
-        lams = np.geomspace(lo, hi, grid_points)
+        lams = np.geomspace(lo, hi, _GRID_POINTS)
         delta, y, mu, c = _eval_arrays(lams, p)
         if np.any(~np.isfinite(c)):
             raise RuntimeError("speed curve undefined inside the scan range")

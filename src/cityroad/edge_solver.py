@@ -5,8 +5,9 @@ Advances one road equation, dv/dt = d v_xx on (0, 1) with
     -d v_x(0) + alpha v(0) = g_left(t),
      d v_x(1) + alpha v(1) = g_right(t),
 
-by Crank-Nicolson with second-order Robin boundary rows and time-averaged
-loads.  The step is precomputed once per (m, dt, d, alpha) as a dense
+by Crank-Nicolson with time-averaged loads.  The Laplacian is one dense
+array whose end rows take the Robin condition by second-order ghost-node
+elimination; the step is precomputed once per (m, dt, d, alpha) as a dense
 propagator plus two load columns, so advancing any number of edges is one
 matrix product.  Two independent verification tools live here as well: the
 manufactured-solution error harness and a heat-kernel integral-equation
@@ -24,7 +25,6 @@ import numpy as np
 from .model import EdgeGrid, Parameters
 
 __all__ = [
-    "TridiagonalOperator",
     "RobinStepInput",
     "StepOperator",
     "assemble_step_operator",
@@ -34,30 +34,6 @@ __all__ = [
     "manufactured_loads",
     "integral_representation_oracle",
 ]
-
-
-@dataclass(frozen=True)
-class TridiagonalOperator:
-    """Banded (m+1)-row operator; lower[0] and upper[-1] are unused zeros."""
-
-    lower: np.ndarray
-    diagonal: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.diagonal)
-        if not (len(self.lower) == n and len(self.upper) == n):
-            raise ValueError("band arrays must share one length")
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diagonal * v
-        out[..., 1:] += self.lower[1:] * v[..., :-1]
-        out[..., :-1] += self.upper[:-1] * v[..., 1:]
-        return out
-
-    def dense(self) -> np.ndarray:
-        return (np.diag(self.diagonal) + np.diag(self.lower[1:], -1)
-                + np.diag(self.upper[:-1], 1))
 
 
 @dataclass(frozen=True)
@@ -81,24 +57,19 @@ class RobinStepInput:
 
 @dataclass(frozen=True)
 class StepOperator:
-    """Assembled Crank-Nicolson pieces for one (m, dt, d, alpha) combination.
+    """One Crank-Nicolson step for one (m, dt, d, alpha) combination.
 
-    implicit = I - dt/2 L and explicit = I + dt/2 L, where L is the second
-    order Laplacian whose boundary rows absorb the Robin condition through
-    ghost-node elimination.  The load coefficient maps boundary data g to the
-    affine forcing (2/dx) g at the two end rows.
-
-    A step is precomputed densely as the read-only (m+3, m+1) ``step_matrix``:
-    its first m+1 rows are the transposed propagator
-    (implicit^-1 explicit)^T, its last two rows the load columns
-    implicit^-1 (dt load_coeff e_0) and implicit^-1 (dt load_coeff e_m).
+    With L the second-order Laplacian whose end rows absorb the Robin
+    condition by ghost-node elimination, the step solves
+    (I - dt/2 L) v1 = (I + dt/2 L) v0 + dt (2/dx) (g_left e_0 + g_right e_m).
+    It is stored densely as the read-only (m+3, m+1) ``step_matrix``: its
+    first m+1 rows are the transposed propagator ((I - dt/2 L)^-1 (I + dt/2 L))^T,
+    its last two rows the load columns dt (2/dx) (I - dt/2 L)^-1 e_0 and
+    dt (2/dx) (I - dt/2 L)^-1 e_m.
     """
 
     m: int
     dt: float
-    implicit: TridiagonalOperator
-    explicit: TridiagonalOperator
-    load_coeff: float
     step_matrix: np.ndarray
 
     def apply(self, values, g_left_avg, g_right_avg) -> np.ndarray:
@@ -119,29 +90,17 @@ def _assemble_cached(m: int, dt: float, d: float, alpha: float) -> StepOperator:
     dx = 1.0 / m
     r = d / dx**2
     n = m + 1
-    lo = np.full(n, r)
-    di = np.full(n, -2.0 * r)
-    up = np.full(n, r)
     # Ghost-node elimination: from -d (v1 - v_-1)/(2 dx) + alpha v0 = g one gets
     # v_-1 = v1 + (2 dx / d)(g - alpha v0), so the end rows carry a doubled
     # neighbor, an extra -2 alpha/dx decay, and a (2/dx) g load (mirrored at m).
-    lo[0] = 0.0
-    up[0] = 2.0 * r
-    di[0] = -2.0 * r - 2.0 * alpha / dx
-    lo[n - 1] = 2.0 * r
-    up[n - 1] = 0.0
-    di[n - 1] = -2.0 * r - 2.0 * alpha / dx
+    lap = r * (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1))
+    lap[0, 1] = lap[n - 1, n - 2] = 2.0 * r
+    lap[0, 0] = lap[n - 1, n - 1] = -2.0 * r - 2.0 * alpha / dx
     half = 0.5 * dt
-    implicit = TridiagonalOperator(-half * lo, 1.0 - half * di, -half * up)
-    explicit = TridiagonalOperator(half * lo, 1.0 + half * di, half * up)
-    dom = np.abs(implicit.diagonal) - (np.abs(implicit.lower) + np.abs(implicit.upper))
-    if np.any(dom <= 0.0):
-        raise ValueError("implicit operator is not strictly diagonally dominant")
-    load_coeff = 2.0 / dx
+    im = np.eye(n) - half * lap
     loads = np.zeros((n, 2))
-    loads[0, 0] = loads[n - 1, 1] = dt * load_coeff
-    im = implicit.dense()
-    rhs = np.hstack([explicit.dense(), loads])
+    loads[0, 0] = loads[n - 1, 1] = dt * (2.0 / dx)
+    rhs = np.hstack([np.eye(n) + half * lap, loads])
     solved = np.linalg.solve(im, rhs)
     # One round of iterative refinement, residual in extended precision, puts
     # the entries within about an ulp.  Unrefined, their error drifts the mass
@@ -151,7 +110,7 @@ def _assemble_cached(m: int, dt: float, d: float, alpha: float) -> StepOperator:
     solved += np.linalg.solve(im, resid.astype(float))
     step_matrix = np.ascontiguousarray(solved.T)
     step_matrix.setflags(write=False)
-    return StepOperator(m, dt, implicit, explicit, load_coeff, step_matrix)
+    return StepOperator(m, dt, step_matrix)
 
 
 def assemble_step_operator(m: int, dt: float, p: Parameters) -> StepOperator:

@@ -24,22 +24,17 @@ import numpy as np
 __all__ = [
     "NonlinearityDescriptor",
     "logistic",
-    "tabulated",
     "Parameters",
     "EdgeGrid",
     "LatticeState",
     "RescaledParameters",
     "rescale_to_unit_length",
-    "eval_nonlinearity",
     "total_mass",
     "StationaryProfiles",
     "stationary_from_rho",
     "stationary_residual",
     "sample_linear_profiles",
 ]
-
-# Resolution of the sampled KPP admissibility check.
-_ADMISSIBILITY_SAMPLES = 1024
 
 
 def _frozen_array(values, ndim: int) -> np.ndarray:
@@ -50,136 +45,27 @@ def _frozen_array(values, ndim: int) -> np.ndarray:
     return out
 
 
-def _natural_cubic_second_derivs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Second derivatives of the natural cubic spline through (x, y)."""
-    n = len(x)
-    h = np.diff(x)
-    if np.any(h <= 0):
-        raise ValueError("spline knots must be strictly increasing")
-    a = np.zeros((n, n))
-    rhs = np.zeros(n)
-    a[0, 0] = 1.0
-    a[-1, -1] = 1.0
-    for i in range(1, n - 1):
-        a[i, i - 1] = h[i - 1] / 6.0
-        a[i, i] = (h[i - 1] + h[i]) / 3.0
-        a[i, i + 1] = h[i] / 6.0
-        rhs[i] = (y[i + 1] - y[i]) / h[i] - (y[i] - y[i - 1]) / h[i - 1]
-    return np.linalg.solve(a, rhs)
-
-
+@dataclass(frozen=True)
 class NonlinearityDescriptor:
-    """KPP reaction term: f(0) = f(1) = 0 and 0 < f(u) <= f'(0) u on (0, 1).
+    """Logistic KPP reaction f(u) = fprime0 u (1 - u).
 
-    Two kinds are supported: ``logistic`` with rate r, f(u) = r u (1 - u),
-    and ``tabulated`` with a piecewise-cubic interpolant through user knots.
-    A zero rate (f identically 0) is admitted for conservation experiments;
-    the strict KPP inequalities are only enforced when fprime0 > 0.
-
-    Admissibility is validated by sampling a fixed grid of 1024 interior
-    points, not symbolically.
+    A zero rate (f identically 0) is admitted for conservation experiments.
     """
 
-    __slots__ = ("kind", "fprime0", "knots", "values", "_m2")
+    fprime0: float
 
-    def __init__(self, kind, fprime0, knots=None, values=None):
-        if kind not in ("logistic", "tabulated"):
-            raise ValueError(f"unknown nonlinearity kind {kind!r}")
-        self.kind = kind
-        self.fprime0 = float(fprime0)
+    def __post_init__(self):
+        object.__setattr__(self, "fprime0", float(self.fprime0))
         if not math.isfinite(self.fprime0) or self.fprime0 < 0:
             raise ValueError("fprime0 must be finite and >= 0")
-        if kind == "tabulated":
-            if knots is None or values is None:
-                raise ValueError("tabulated nonlinearity needs knots and values")
-            self.knots = _frozen_array(knots, 1)
-            self.values = _frozen_array(values, 1)
-            if len(self.knots) != len(self.values) or len(self.knots) < 4:
-                raise ValueError("need at least 4 matching knots/values")
-            m2 = _natural_cubic_second_derivs(self.knots, self.values)
-            m2.setflags(write=False)
-            self._m2 = m2
-        else:
-            self.knots = None
-            self.values = None
-            self._m2 = None
-        self._validate_admissibility()
 
     def __call__(self, u):
-        if self.kind == "logistic":
-            return self.fprime0 * u * (1.0 - u)
-        return self._eval_spline(u)
-
-    def _eval_spline(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        x, y, m2 = self.knots, self.values, self._m2
-        idx = np.clip(np.searchsorted(x, u_arr) - 1, 0, len(x) - 2)
-        h = x[idx + 1] - x[idx]
-        t = (u_arr - x[idx]) / h
-        s = 1.0 - t
-        out = (
-            s * y[idx]
-            + t * y[idx + 1]
-            + (h * h / 6.0) * ((s**3 - s) * m2[idx] + (t**3 - t) * m2[idx + 1])
-        )
-        return float(out) if np.isscalar(u) else out
-
-    def _validate_admissibility(self):
-        tol = 1e-12 * max(1.0, self.fprime0)
-        if abs(self(0.0)) > tol or abs(self(1.0)) > tol:
-            raise ValueError("nonlinearity must vanish at u=0 and u=1")
-        if self.fprime0 == 0.0:
-            if self.kind == "logistic":
-                return  # f identically zero: reaction-free runs
-            raise ValueError("tabulated nonlinearity needs fprime0 > 0")
-        u = np.arange(1, _ADMISSIBILITY_SAMPLES) / _ADMISSIBILITY_SAMPLES
-        fu = self(u)
-        if np.any(fu <= 0.0):
-            raise ValueError("KPP violation: f must be positive on (0,1)")
-        if np.any(fu > self.fprime0 * u * (1.0 + 1e-9)):
-            raise ValueError("KPP violation: f(u) must stay below fprime0*u")
-        if self.kind == "logistic":
-            lo, hi = -1.0, 2.0
-        else:
-            lo, hi = float(self.knots[0]), float(self.knots[-1])
-        outside = []
-        if lo < 0.0:
-            outside.append(np.linspace(lo, -1e-6, _ADMISSIBILITY_SAMPLES // 2))
-        if hi > 1.0:
-            outside.append(np.linspace(1.0 + 1e-6, hi, _ADMISSIBILITY_SAMPLES // 2))
-        for grid in outside:
-            if np.any(self(grid) >= 0.0):
-                raise ValueError("f must be negative outside [0,1]")
-
-    def __eq__(self, other):
-        if not isinstance(other, NonlinearityDescriptor):
-            return NotImplemented
-        if self.kind != other.kind or self.fprime0 != other.fprime0:
-            return False
-        if self.kind == "logistic":
-            return True
-        return np.array_equal(self.knots, other.knots) and np.array_equal(
-            self.values, other.values
-        )
-
-    def __hash__(self):
-        extra = () if self.kind == "logistic" else (self.knots.tobytes(), self.values.tobytes())
-        return hash((self.kind, self.fprime0) + extra)
-
-    def __repr__(self):
-        if self.kind == "logistic":
-            return f"logistic(rate={self.fprime0})"
-        return f"tabulated({len(self.knots)} knots, fprime0={self.fprime0})"
+        return self.fprime0 * u * (1.0 - u)
 
 
 def logistic(rate: float) -> NonlinearityDescriptor:
     """Logistic reaction f(u) = rate * u * (1 - u); rate 0 means no reaction."""
-    return NonlinearityDescriptor("logistic", rate)
-
-
-def tabulated(knots, values, fprime0: float) -> NonlinearityDescriptor:
-    """Piecewise-cubic reaction through (knots, values); must pass the KPP check."""
-    return NonlinearityDescriptor("tabulated", fprime0, knots=knots, values=values)
+    return NonlinearityDescriptor(rate)
 
 
 @dataclass(frozen=True)
@@ -228,13 +114,6 @@ def rescale_to_unit_length(p: Parameters) -> RescaledParameters:
         return RescaledParameters(p, 1.0)
     scaled = replace(p, alpha=p.alpha / ell, d=p.d / ell**2, ell=1.0)
     return RescaledParameters(scaled, ell)
-
-
-def eval_nonlinearity(nl: NonlinearityDescriptor, u):
-    """Evaluate the reaction term at u (scalar or array)."""
-    if np.isscalar(u) and not math.isfinite(u):
-        raise ValueError("u must be finite")
-    return nl(u)
 
 
 @dataclass(frozen=True)

@@ -252,6 +252,15 @@ class TestCommands:
         assert len(lines) == 2
         assert all(l.startswith("PASS") for l in lines)
 
+    @pytest.mark.parametrize("only", ["13", "0,99", ","])
+    def test_verify_rejects_unknown_criteria(self, only, capsys):
+        # a selection that runs nothing must not pass
+        assert main(["verify", "--only", only]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: --only takes criterion numbers 1-12, got ")
+
     def test_asymptotic_reaction_free_reports_contamination(self, tmp_path, monkeypatch,
                                                               capsys):
         monkeypatch.setenv("CITYROAD_OUTDIR", str(tmp_path / "out"))

@@ -6,13 +6,12 @@ import pytest
 from cityroad.model import (
     EdgeGrid,
     LatticeState,
+    NonlinearityDescriptor,
     Parameters,
-    eval_nonlinearity,
     logistic,
     rescale_to_unit_length,
     stationary_from_rho,
     stationary_residual,
-    tabulated,
     total_mass,
 )
 
@@ -65,34 +64,36 @@ class TestRescale:
 class TestNonlinearity:
     def test_logistic_fixed_points(self):
         nl = logistic(1.0)
-        assert eval_nonlinearity(nl, 0.0) == 0.0
-        assert eval_nonlinearity(nl, 1.0) == 0.0
+        assert nl(0.0) == 0.0
+        assert nl(1.0) == 0.0
 
     def test_logistic_midpoint(self):
-        assert eval_nonlinearity(logistic(1.0), 0.5) == 0.25
+        assert logistic(1.0)(0.5) == 0.25
 
     def test_zero_rate_allowed(self):
         nl = logistic(0.0)
-        assert eval_nonlinearity(nl, 0.3) == 0.0
+        assert nl(0.3) == 0.0
 
-    def test_tabulated_admissible(self):
-        u = np.linspace(-0.5, 1.5, 41)
-        nl = tabulated(u, 1.0 * u * (1.0 - u), fprime0=1.0)
-        mid = eval_nonlinearity(nl, 0.5)
-        assert mid == pytest.approx(0.25, abs=2e-3)
+    @pytest.mark.parametrize("rate", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_rates(self, rate):
+        with pytest.raises(ValueError, match="fprime0"):
+            logistic(rate)
 
-    def test_tabulated_rejects_kpp_violation(self):
-        u = np.linspace(-0.5, 1.5, 41)
-        with pytest.raises(ValueError):
-            # exceeds fprime0 * u near zero
-            tabulated(u, 2.0 * u * (1.0 - u), fprime0=1.0)
+    def test_subnormal_rate_accepted(self):
+        assert logistic(1e-320).fprime0 == 1e-320
 
-    def test_rejects_sign_violation_outside(self):
-        u = np.linspace(-0.5, 1.5, 41)
-        vals = u * (1.0 - u)
-        vals[u < 0] = 0.1  # must be negative there
-        with pytest.raises(ValueError):
-            tabulated(u, vals, fprime0=1.0)
+    def test_equal_rates_give_equal_parameters(self):
+        a = Parameters(1.0, 2.0, 3.0, nonlinearity=logistic(1.5))
+        b = Parameters(1.0, 2.0, 3.0, nonlinearity=logistic(1.5))
+        assert a.nonlinearity is not b.nonlinearity
+        assert a == b and hash(a) == hash(b)
+        assert a != Parameters(1.0, 2.0, 3.0, nonlinearity=logistic(2.0))
+        assert logistic(2) == NonlinearityDescriptor(2.0)
+
+    def test_logistic_is_the_plain_expression(self):
+        u = np.linspace(-0.5, 1.5, 201)
+        for r in (0.0, 0.3, 1.0, 7.25):
+            assert np.array_equal(logistic(r)(u), r * u * (1.0 - u))
 
 
 class TestTotalMass:
