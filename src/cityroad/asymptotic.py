@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .dispersion import golden_section_min
 from .lattice_sim import (
     InitialData,
     SimulationConfig,
@@ -52,10 +51,11 @@ __all__ = [
     "large_d_convergence_experiment",
 ]
 
-# Geometric mu grid that brackets the minimum of c_plus before golden section;
-# a minimum on the scan endpoint widens the range tenfold each way, once.
+# Geometric mu grid whose smallest c_plus starts Newton's method; a minimum on
+# the scan endpoint widens the range tenfold each way, once.
 _GRID_POINTS = 2000
 _MU_RANGE = (1e-4, 50.0)
+_NEWTON_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -110,33 +110,34 @@ class AsymptoticSpeed:
     dpsi_dmu_residual: float
 
 
+def _delta_inf(cosh_mu, p: Parameters):
+    """DeltaInf from cosh(mu); takes a float or an array."""
+    alpha, beta, f0 = p.alpha, p.beta, p.fprime0
+    return (2.0 * alpha - 2.0 * beta + f0) ** 2 + 8.0 * alpha * beta * (1.0 + cosh_mu)
+
+
 def asymptotic_dispersion_eval(mu: float, c: float, p: Parameters) -> AsymptoticDispersion:
     """(Psi(c, mu), DeltaInf(mu), c_plus(mu)); c_plus is +inf at mu = 0."""
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    alpha, beta, f0 = p.alpha, p.beta, p.fprime0
-    delta = (2.0 * alpha - 2.0 * beta + f0) ** 2 + 8.0 * alpha * beta * (1.0 + math.cosh(mu))
-    root = -(2.0 * alpha + 2.0 * beta - f0) + math.sqrt(delta)
+    delta = _delta_inf(math.cosh(mu), p)
+    root = -(2.0 * p.alpha + 2.0 * p.beta - p.fprime0) + math.sqrt(delta)
     psi = root - 2.0 * mu * c
     c_plus = root / (2.0 * mu) if mu > 0 else math.inf
     return AsymptoticDispersion(psi, delta, c_plus)
 
 
-def _dpsi_dmu(mu: float, c: float, p: Parameters) -> float:
-    alpha, beta, f0 = p.alpha, p.beta, p.fprime0
-    delta = (2.0 * alpha - 2.0 * beta + f0) ** 2 + 8.0 * alpha * beta * (1.0 + math.cosh(mu))
-    return 4.0 * alpha * beta * math.sinh(mu) / math.sqrt(delta) - 2.0 * c
-
-
 def compute_c_star_inf(p: Parameters) -> AsymptoticSpeed:
-    """Minimize c_plus over mu > 0 (geometric grid plus golden section) and
-    verify the tangency conditions Psi = 0 and dPsi/dmu = 0 at the optimum."""
+    """Minimize c_plus over mu > 0 (geometric grid, then Newton's method on
+    the tangency condition) and verify Psi = 0 and dPsi/dmu = 0 at the optimum."""
     if p.fprime0 <= 0:
         raise ValueError("limit speed needs f'(0) > 0")
+    ab4 = 4.0 * p.alpha * p.beta
+    b_coef = 2.0 * p.alpha + 2.0 * p.beta - p.fprime0
     lo, hi = _MU_RANGE
     for _ in range(2):
         mus = np.geomspace(lo, hi, _GRID_POINTS)
-        cs = np.array([asymptotic_dispersion_eval(m, 0.0, p).c_plus for m in mus])
+        cs = (np.sqrt(_delta_inf(np.cosh(mus), p)) - b_coef) / (2.0 * mus)
         i_min = int(np.argmin(cs))
         if 0 < i_min < len(mus) - 1:
             break
@@ -144,12 +145,21 @@ def compute_c_star_inf(p: Parameters) -> AsymptoticSpeed:
         hi *= 10.0
     else:
         raise RuntimeError("limit-speed minimum stuck at the scan endpoint")
-    mu_star = golden_section_min(
-        lambda m: asymptotic_dispersion_eval(m, 0.0, p).c_plus, mus[i_min - 1], mus[i_min + 1]
-    )
+    # Newton's method on g(mu) = mu root' - root, increasing as g' = mu root'' > 0;
+    # with D = DeltaInf, root' = 4ab sinh / sqrt(D), root'' = 4ab / sqrt(D) (cosh - 4ab sinh^2 / D)
+    mu_star = float(mus[i_min])
+    for _ in range(_NEWTON_ITERATIONS):
+        ch, sh = math.cosh(mu_star), math.sinh(mu_star)
+        sq = math.sqrt(_delta_inf(ch, p))
+        g = mu_star * ab4 * sh / sq - (sq - b_coef)
+        g_prime = mu_star * ab4 / sq * (ch - ab4 * sh * sh / (sq * sq))
+        mu_star, previous = min(max(mu_star - g / g_prime, 0.5 * mu_star), 2.0 * mu_star), mu_star
+        if abs(mu_star - previous) <= 4.0 * np.finfo(float).eps * previous:
+            break
     c_inf = asymptotic_dispersion_eval(mu_star, 0.0, p).c_plus
     psi_res = abs(asymptotic_dispersion_eval(mu_star, c_inf, p).psi)
-    dpsi_res = abs(_dpsi_dmu(mu_star, c_inf, p))
+    dpsi_res = abs(ab4 * math.sinh(mu_star) / math.sqrt(_delta_inf(math.cosh(mu_star), p))
+                   - 2.0 * c_inf)
     if psi_res > 1e-10:
         raise RuntimeError(f"tangency residual |Psi| = {psi_res:.3e} exceeds 1e-10")
     if dpsi_res > 1e-8:

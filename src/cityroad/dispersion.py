@@ -12,7 +12,8 @@ y > 1, which happens exactly above a unique threshold lambda0, and the
 spreading speed is the minimum of c(lambda) = lambda / mu(lambda) over
 (lambda0, inf).  A global geometric scan locates the minimum before local
 refinement because uniqueness of the minimizer is only conjectured; every
-grid-local minimum is reported.
+grid-local minimum is reported.  Threshold and minimizer are refined by
+zooming a bracket onto the sign change or the smallest c on a linspace.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "profile_v",
     "profile_v_star",
     "exponential_ansatz_residual",
-    "golden_section_min",
 ]
 
 # Below this s = sqrt(lambda/d) the hyperbolic ratios switch to their Taylor
@@ -45,6 +45,8 @@ _HUGE_LOG = 709.0  # ~ log of float64 max
 # The c* scan: points of the geometric lambda grid and its upper end over lambda0.
 _GRID_POINTS = 2000
 _GRID_SPAN = 1e4
+# Points per round of the bracket zoom that refines lambda0 and lambda*.
+_ZOOM_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -101,27 +103,36 @@ def _log_sinh(s):
     return s - math.log(2.0) + np.log1p(-np.exp(-2.0 * s))
 
 
-def _eval_arrays(lams: np.ndarray, p: Parameters):
-    """Vectorized (delta, y, mu, c) along a lambda grid; mu, c are NaN where
-    y <= 1."""
+def _terms(lams, p: Parameters):
+    """s, sqrt(d lam) / sinh(s), sinh(s) / s, Delta and the bracket of y
+    along a lambda grid."""
     alpha, beta, d, f0 = p.alpha, p.beta, p.d, p.fprime0
     lams = np.asarray(lams, dtype=float)
     s = np.sqrt(lams / d)
     r_tanh, r_sinh, sinh_over_s = _ratios(s)
     a_term = d * r_tanh        # sqrt(d lam) / tanh(s)
-    b_term = d * r_sinh        # sqrt(d lam) / sinh(s)
     delta = alpha**2 + d * lams + 2.0 * alpha * a_term
-    g = lams + 2.0 * beta - f0
-    bracket = delta / (2.0 * alpha * beta) * g - (alpha + a_term)
+    bracket = delta / (2.0 * alpha * beta) * (lams + 2.0 * beta - f0) - (alpha + a_term)
+    return s, d * r_sinh, sinh_over_s, delta, bracket
+
+
+def _eval_arrays(lams: np.ndarray, p: Parameters):
+    """Vectorized (delta, y, mu, c) along a lambda grid; mu, c are NaN where
+    y <= 1."""
+    d = p.d
+    lams = np.asarray(lams, dtype=float)
+    s, _, sinh_over_s, delta, bracket = _terms(lams, p)
     with np.errstate(over="ignore", invalid="ignore"):
         y = bracket * sinh_over_s / d
-    # log-space rescue where sinh overflowed (possible only for bracket > 0)
+    # log-space rescue of |y| where sinh overflowed; y keeps the sign of the
+    # bracket, so below the threshold it stays below 1
     big = s > _LOG_SWITCH
     log_y = np.zeros_like(y)
     if np.any(big):
-        lb = np.log(np.maximum(bracket, 1e-300))
+        lb = np.log(np.maximum(np.abs(bracket), 1e-300))
         log_y = np.where(big, lb + _log_sinh(s) - np.log(d * np.maximum(s, 1.0)), 0.0)
-        y = np.where(big & ~np.isfinite(y), np.exp(np.minimum(log_y, _HUGE_LOG)), y)
+        rescued = np.sign(bracket) * np.exp(np.minimum(log_y, _HUGE_LOG))
+        y = np.where(big & ~np.isfinite(y), rescued, y)
     defined = y > 1.0
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         mu = np.where(
@@ -143,35 +154,32 @@ def dispersion_eval(lam: float, p: Parameters) -> DispersionPoint:
     if lam < 0 or not math.isfinite(lam):
         raise ValueError("lambda must be finite and >= 0")
     p.require_unit_length()
-    delta, y, mu, c = _eval_arrays(np.array([lam]), p)
-    mu_v = float(mu[0])
-    c_v = float(c[0])
-    return DispersionPoint(
-        lam=float(lam),
-        delta=float(delta[0]),
-        y=float(y[0]),
-        mu=None if math.isnan(mu_v) else mu_v,
-        c=None if math.isnan(c_v) else c_v,
-    )
+    delta, y, mu, c = (float(v[0]) for v in _eval_arrays(np.array([lam]), p))
+    return DispersionPoint(float(lam), delta, y, None if math.isnan(mu) else mu,
+                           None if math.isnan(c) else c)
 
 
 def _g_minus_G(lam, p: Parameters):
-    alpha, beta, d, f0 = p.alpha, p.beta, p.d, p.fprime0
-    lam = np.asarray(lam, dtype=float)
-    s = np.sqrt(lam / d)
-    r_tanh, r_sinh, _ = _ratios(s)
-    a_term = d * r_tanh
-    b_term = d * r_sinh
-    delta = alpha**2 + d * lam + 2.0 * alpha * a_term
-    g = lam + 2.0 * beta - f0
-    big_g = 2.0 * alpha * beta / delta * (alpha + a_term + b_term)
-    return g - big_g
+    """g - G = 2 alpha beta / Delta (bracket - sqrt(d lam) / sinh(s))."""
+    _, b_term, _, delta, bracket = _terms(lam, p)
+    return 2.0 * p.alpha * p.beta / delta * (bracket - b_term)
+
+
+def _zoom_sign_change(fun, a: float, b: float):
+    """One zoom round on [a, b] with fun(a) <= 0 < fun(b): evaluate fun on
+    _ZOOM_POINTS points and return the neighbours (a, b, fun(a), fun(b)) of
+    the first positive value."""
+    x = np.linspace(a, b, _ZOOM_POINTS)
+    v = fun(x)
+    i = int(np.argmax(v > 0.0)) if v[-1] > 0.0 else len(x) - 1
+    i = max(i, 1)
+    return float(x[i - 1]), float(x[i]), float(v[i - 1]), float(v[i])
 
 
 def find_lambda0(p: Parameters) -> float:
     """Unique lambda where y = 1, i.e. where the increasing line
     g(lambda) = lambda + 2 beta - f'(0) crosses the decreasing exchange curve
-    G(lambda).  Bracketed by doubling, then bisected to relative width 1e-12;
+    G(lambda).  Bracketed by doubling, then zoomed to relative width 1e-12;
     the result is cross-checked through |y(lambda0) - 1| <= 1e-10."""
     p.require_unit_length()
     if p.fprime0 <= 0:
@@ -183,30 +191,19 @@ def find_lambda0(p: Parameters) -> float:
         if b > 1e6:
             raise RuntimeError("no dispersion threshold below 1e6: inadmissible parameters")
     while (b - a) > 1e-12 * max(1.0, 0.5 * (a + b)):
-        mid = 0.5 * (a + b)
-        if _g_minus_G(mid, p) <= 0.0:
-            a = mid
-        else:
-            b = mid
+        a, b, _, _ = _zoom_sign_change(lambda lam: _g_minus_G(lam, p), a, b)
     # y - 1 equals (Delta / (2 alpha beta B)) (g - G) with a factor that grows
     # as d shrinks, so polish the root on y - 1 itself down to the post-check
-    # tolerance (the bracket from the g - G bisection still encloses it).
-    def y_minus_1(lam):
-        _, y, _, _ = _eval_arrays(np.array([lam]), p)
-        return float(y[0]) - 1.0
+    # tolerance (the bracket from the g - G zoom still encloses it).
+    def y_minus_1(lams):
+        return _eval_arrays(lams, p)[1] - 1.0
 
-    resid_a = y_minus_1(a)
-    resid_b = y_minus_1(b)
-    lam0 = 0.5 * (a + b)
-    resid = y_minus_1(lam0)
-    while abs(resid) > 1e-10 and (b - a) > 4.0 * np.finfo(float).eps * max(1.0, b):
-        if resid <= 0.0:
-            a, resid_a = lam0, resid
-        else:
-            b, resid_b = lam0, resid
-        lam0 = 0.5 * (a + b)
-        resid = y_minus_1(lam0)
-    # Once the bracket is one ulp wide the achievable |y - 1| is set by the
+    resid_a, resid_b = (float(r) for r in y_minus_1(np.array([a, b])))
+    while (min(abs(resid_a), abs(resid_b)) > 1e-10
+           and (b - a) > 4.0 * np.finfo(float).eps * max(1.0, b)):
+        a, b, resid_a, resid_b = _zoom_sign_change(y_minus_1, a, b)
+    lam0, resid = (a, resid_a) if abs(resid_a) <= abs(resid_b) else (b, resid_b)
+    # Once the bracket is a few ulps wide the achievable |y - 1| is set by the
     # local slope; accept that floor (it exceeds 1e-10 only for extreme
     # parameter ratios where y is steep on the lambda grid).
     floor = 4.0 * abs(resid_b - resid_a)
@@ -215,37 +212,14 @@ def find_lambda0(p: Parameters) -> float:
     return lam0
 
 
-def golden_section_min(fun, a: float, b: float, rel_tol: float = 1e-10) -> float:
-    """Golden-section minimizer of a unimodal scalar function on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > rel_tol * max(1.0, abs(a), abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
-def _c_of_lambda(lam: float, p: Parameters) -> float:
-    _, _, _, c = _eval_arrays(np.array([lam]), p)
-    return float(c[0])
-
-
 def compute_c_star(p: Parameters) -> DispersionResult:
     """Minimal speed c* = min over lambda > lambda0 of lambda / mu(lambda).
 
     A geometric grid over (lambda0 (1 + 1e-6), lambda0 * _GRID_SPAN) locates the
-    global minimum, golden-section search refines it to relative tolerance
-    1e-10, and the scan endpoints are checked to exceed the minimum.  An
-    endpoint grid minimum triggers one automatic 10x extension of the upper
-    bound; a persistent endpoint minimum is an error.
+    global minimum, the bracket zoom refines it to relative width 1e-10, and
+    the scan endpoints are checked to exceed the minimum.  An endpoint grid
+    minimum triggers one automatic 10x extension of the upper bound; a
+    persistent endpoint minimum is an error.
     """
     p.require_unit_length()
     lam0 = find_lambda0(p)
@@ -262,9 +236,12 @@ def compute_c_star(p: Parameters) -> DispersionResult:
         hi *= 10.0
     else:
         raise RuntimeError("speed minimum stuck at the scan endpoint")
-    lam_star = golden_section_min(
-        lambda lam: _c_of_lambda(lam, p), lams[i_min - 1], lams[i_min + 1]
-    )
+    a, b = lams[i_min - 1], lams[i_min + 1]
+    while (b - a) > 1e-10 * max(1.0, abs(a), abs(b)):
+        x = np.linspace(a, b, _ZOOM_POINTS)
+        i = int(np.argmin(_eval_arrays(x, p)[3]))
+        a, b = x[max(i - 1, 0)], x[min(i + 1, len(x) - 1)]
+    lam_star = 0.5 * (a + b)
     point = dispersion_eval(lam_star, p)
     if point.mu is None:
         raise RuntimeError("refined minimizer fell below the threshold")
@@ -288,35 +265,41 @@ def compute_c_star(p: Parameters) -> DispersionResult:
     return result
 
 
+def _hyperbolic_over_sinh(s: float, u):
+    """(cosh(s u), sinh(s u)) / sinh(s) for u in [0, 1], written with
+    exponentials of non-positive arguments: finite where sinh(s) alone
+    overflows (small d)."""
+    u = np.asarray(u, dtype=float)
+    scale = np.exp(-s * (1.0 - u)) / -math.expm1(-2.0 * s)
+    return scale * (1.0 + np.exp(-2.0 * s * u)), -scale * np.expm1(-2.0 * s * u)
+
+
+def _profile_scales(lam: float, p: Parameters):
+    """s = sqrt(lam / d), sqrt(lam d) and beta / Delta(lam)."""
+    s, _, _, delta, _ = _terms(lam, p)
+    return float(s), math.sqrt(lam * p.d), p.beta / float(delta)
+
+
 def profile_v(x, lam: float, mu: float, p: Parameters):
     """Edge profile of the exponential solution at decay rate mu and rate lam:
 
         V(x) = beta / (sinh(s) Delta) [sqrt(lam d) cosh(s (1-x)) + alpha sinh(s (1-x))]
              + beta e^{-mu} / (sinh(s) Delta) [sqrt(lam d) cosh(s x) + alpha sinh(s x)].
     """
-    alpha, beta, d = p.alpha, p.beta, p.d
     x = np.asarray(x, dtype=float)
-    s = math.sqrt(lam / d)
-    sq = math.sqrt(lam * d)
-    r_tanh, _, _ = _ratios(np.array([s]))
-    delta = alpha**2 + d * lam + 2.0 * alpha * d * float(r_tanh[0])
-    k1 = beta / (math.sinh(s) * delta)
-    left = sq * np.cosh(s * (1.0 - x)) + alpha * np.sinh(s * (1.0 - x))
-    right = sq * np.cosh(s * x) + alpha * np.sinh(s * x)
-    out = k1 * left + k1 * math.exp(-mu) * right
+    s, sq, k = _profile_scales(lam, p)
+    cosh_l, sinh_l = _hyperbolic_over_sinh(s, 1.0 - x)
+    cosh_r, sinh_r = _hyperbolic_over_sinh(s, x)
+    out = k * (sq * cosh_l + p.alpha * sinh_l + math.exp(-mu) * (sq * cosh_r + p.alpha * sinh_r))
     return float(out) if out.ndim == 0 else out
 
 
 def _profile_v_prime(x: float, lam: float, mu: float, p: Parameters) -> float:
-    alpha, beta, d = p.alpha, p.beta, p.d
-    s = math.sqrt(lam / d)
-    sq = math.sqrt(lam * d)
-    r_tanh, _, _ = _ratios(np.array([s]))
-    delta = alpha**2 + d * lam + 2.0 * alpha * d * float(r_tanh[0])
-    k1 = beta / (math.sinh(s) * delta)
-    left = -sq * math.sinh(s * (1.0 - x)) - alpha * math.cosh(s * (1.0 - x))
-    right = sq * math.sinh(s * x) + alpha * math.cosh(s * x)
-    return k1 * s * left + k1 * math.exp(-mu) * s * right
+    s, sq, k = _profile_scales(lam, p)
+    cosh_l, sinh_l = _hyperbolic_over_sinh(s, 1.0 - x)
+    cosh_r, sinh_r = _hyperbolic_over_sinh(s, x)
+    return float(k * s * (-sq * sinh_l - p.alpha * cosh_l)
+                 + k * math.exp(-mu) * s * (sq * sinh_r + p.alpha * cosh_r))
 
 
 def profile_v_star(x, res: DispersionResult, p: Parameters):
@@ -333,13 +316,18 @@ def exponential_ansatz_residual(lam: float, mu: float, p: Parameters) -> float:
     v1 = profile_v(1.0, lam, mu, p)
     vp0 = _profile_v_prime(0.0, lam, mu, p)
     vp1 = _profile_v_prime(1.0, lam, mu, p)
+    # e^mu V(1) = beta / Delta [sqrt(lam d) (e^mu / sinh(s) + coth(s)) + alpha],
+    # with e^mu / sinh(s) = 2 e^{mu - s} / (1 - e^{-2 s}): e^mu alone overflows at small d
+    s, sq, k = _profile_scales(lam, p)
+    coth, _ = _hyperbolic_over_sinh(s, 1.0)
+    ev1 = k * (sq * (2.0 * math.exp(mu - s) / -math.expm1(-2.0 * s) + float(coth)) + alpha)
     r1 = mu * c - lam
-    vertex = f0 + alpha * (v0 + math.exp(mu) * v1) - 2.0 * beta
+    vertex = f0 + alpha * (v0 + ev1) - 2.0 * beta
     r2 = mu * c - vertex
     r3 = -d * vp0 + alpha * v0 - beta
     r4 = d * vp1 + alpha * v1 - beta * math.exp(-mu)
     s1 = max(1.0, abs(lam))
-    s2 = max(1.0, abs(mu * c), abs(f0) + alpha * (abs(v0) + math.exp(mu) * abs(v1)) + 2.0 * beta)
+    s2 = max(1.0, abs(mu * c), abs(f0) + alpha * (abs(v0) + abs(ev1)) + 2.0 * beta)
     s3 = max(1.0, beta, d * abs(vp0) + alpha * abs(v0))
     s4 = max(1.0, beta * math.exp(-mu), d * abs(vp1) + alpha * abs(v1))
     return max(abs(r1) / s1, abs(r2) / s2, abs(r3) / s3, abs(r4) / s4)

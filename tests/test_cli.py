@@ -228,14 +228,23 @@ class TestCommands:
         assert "front not measurable" in proc.stdout
         assert "contaminated=true" in proc.stdout.splitlines()
 
-    def test_limit_speed_post_check_is_one_line_error(self, tmp_path):
-        # compute_c_star_inf misses its 1e-8 tangency bound at f'(0) = 2 (a
-        # known solver fault); the CLI must report it, not crash.  The fault
-        # does not depend on T, so the run is kept short.
-        proc = run_cli(["asymptotic", "--set", "parameters.fprime0=2",
-                        "--set", "simulation.T=5"], tmp_path)
-        assert proc.returncode == 4, proc.stderr
-        assert_one_line_error(proc, "tangency residual")
+    def test_limit_speed_solves_at_fprime0_2(self, tmp_path):
+        # here a mu* placed only to about sqrt(eps), as a search on c_plus
+        # alone places it, misses the 1e-8 tangency bound
+        proc = run_cli(["speed", "--set", "parameters.fprime0=2"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "c_star_inf=" in proc.stdout
+
+    def test_limit_speed_post_check_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        # a failed tangency post-check is reported as one line with exit 4
+        def fail(p):
+            raise RuntimeError("tangency residual |dPsi/dmu| = 1.000e-07 exceeds 1e-8")
+
+        monkeypatch.setattr(cli, "compute_c_star_inf", fail)
+        monkeypatch.setenv("CITYROAD_OUTDIR", str(tmp_path / "out"))
+        assert main(["asymptotic", "--set", "simulation.T=5"]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: tangency residual |dPsi/dmu| = 1.000e-07 exceeds 1e-8\n"
 
     def test_sweep_point_without_crossing_is_one_line_error(self, tmp_path):
         proc = run_cli(["sweep", "--set", "sweep.parameter=fprime0",

@@ -11,7 +11,6 @@ from cityroad.dispersion import (
     dispersion_eval,
     exponential_ansatz_residual,
     find_lambda0,
-    golden_section_min,
     profile_v,
     profile_v_star,
 )
@@ -22,7 +21,7 @@ def params(fprime0=1.0, d=1.0, alpha=1.0, beta=1.0):
     return Parameters(alpha, beta, d, nonlinearity=logistic(fprime0))
 
 
-def mp_y(lam, alpha, beta, d, f0, dps=50):
+def mp_y(lam, alpha, beta, d, f0, dps=50, to=float):
     """Independent high-precision evaluation of the closed form."""
     with mpmath.workdps(dps):
         lam = mpmath.mpf(lam)
@@ -31,7 +30,21 @@ def mp_y(lam, alpha, beta, d, f0, dps=50):
         delta = alpha**2 + d * lam + 2 * sq * alpha / mpmath.tanh(s)
         y = (delta / (2 * alpha * beta) * (lam + 2 * beta - f0)
              - (alpha + sq / mpmath.tanh(s))) * mpmath.sinh(s) / sq
-        return float(y)
+        return to(y)
+
+
+def mp_threshold(alpha, beta, d, f0, guess, dps=50):
+    """Root of g - G = lambda + 2 beta - f'(0) - 2 alpha beta / Delta
+    (alpha + sqrt(d lambda) (coth(s) + 1 / sinh(s))) in high precision."""
+    def g_minus_G(lam):
+        s = mpmath.sqrt(lam / d)
+        sq = mpmath.sqrt(d * lam)
+        delta = alpha**2 + d * lam + 2 * sq * alpha / mpmath.tanh(s)
+        exchange = alpha + sq / mpmath.tanh(s) + sq / mpmath.sinh(s)
+        return lam + 2 * beta - f0 - 2 * alpha * beta / delta * exchange
+
+    with mpmath.workdps(dps):
+        return float(mpmath.findroot(g_minus_G, guess))
 
 
 class TestEval:
@@ -91,6 +104,15 @@ class TestLambda0:
         assert len(idx) == 1  # exactly one crossing
         assert grid[idx[0]] <= lam0 <= grid[idx[0] + 1]
 
+    def test_small_d_threshold_in_log_space(self):
+        # at d = 1e-7, s = sqrt(lambda / d) ~ 3e3: sinh(s) overflows, y is
+        # carried in log space and keeps its sign, and jumps across 1 at lambda0
+        p = params(d=1e-7)
+        lam0 = find_lambda0(p)
+        assert lam0 == pytest.approx(mp_threshold(1.0, 1.0, 1e-7, 1.0, lam0), rel=1e-12)
+        _, y, _, _ = _eval_arrays(lam0 * np.array([1.0 - 1e-12, 1.0 + 1e-12]), p)
+        assert y[0] < 1.0 < y[1]
+
     def test_threshold_vanishes_with_reaction(self):
         lams = [find_lambda0(params(fprime0=f0)) for f0 in (1e-2, 1e-3, 1e-4)]
         assert lams[0] > lams[1] > lams[2] > 0.0
@@ -101,12 +123,36 @@ class TestLambda0:
 
 
 class TestCStar:
-    def test_golden_vs_dense_grid(self):
+    def test_zoom_vs_dense_grid(self):
         p = params()
         res = compute_c_star(p)
         lams = np.linspace(res.lambda_star * 0.95, res.lambda_star * 1.05, 1_000_001)
         _, _, _, c = _eval_arrays(lams, p)
         assert res.c_star == pytest.approx(float(np.min(c)), rel=1e-8)
+
+    def test_minimum_matches_50_digit_minimizer(self):
+        p = params()
+        res = compute_c_star(p)
+
+        def c(lam):  # at the working precision, which mpmath.diff raises
+            y = mp_y(lam, 1.0, 1.0, 1.0, 1.0, dps=mpmath.mp.dps, to=mpmath.mpf)
+            return lam / mpmath.acosh(y)
+
+        with mpmath.workdps(50):
+            lam_mp = mpmath.findroot(lambda lam: mpmath.diff(c, lam), res.lambda_star)
+            assert res.c_star == pytest.approx(float(c(lam_mp)), rel=1e-13)
+
+    def test_small_d_speed(self):
+        # y ~ e^3000 at the minimizer; c is lambda / arccosh(y) in 50 digits
+        p = params(d=1e-7)
+        res = compute_c_star(p)
+
+        def mp_c(lam):
+            return float(lam / mpmath.acosh(mp_y(lam, 1.0, 1.0, 1e-7, 1.0, to=mpmath.mpf)))
+
+        assert res.c_star == pytest.approx(mp_c(res.lambda_star), rel=1e-12)
+        for factor in (1.0 - 1e-4, 1.0 + 1e-4):
+            assert mp_c(res.lambda_star * factor) > res.c_star
 
     def test_unique_interior_minimum(self):
         res = compute_c_star(params())
@@ -134,10 +180,6 @@ class TestCStar:
         speeds = [compute_c_star(params(fprime0=r)).c_star for r in rates]
         fit = loglog_fit(rates, speeds)
         assert 0.48 <= fit.a1 <= 0.58
-
-    def test_golden_section_on_parabola(self):
-        x = golden_section_min(lambda t: (t - 2.3) ** 2, 0.0, 10.0)
-        assert x == pytest.approx(2.3, abs=1e-8)
 
 
 class TestProfile:
