@@ -175,9 +175,11 @@ def step_asymptotic(s: AsymptoticState, dt: float, p: Parameters) -> AsymptoticS
     return AsymptoticState(s.j_min, s.j_max, V, P, s.time + dt)
 
 
-def simulate_asymptotic(data: InitialData, cfg: SimulationConfig, p: Parameters) -> Trajectory:
+def simulate_asymptotic(data: InitialData, cfg: SimulationConfig, p: Parameters,
+                        on_snapshot=None) -> Trajectory:
     """Integrate the limit system to time T: ``lattice_sim.run_system`` with
-    the RK4 step, looked up on ``kernels`` at each call, and the mass V + P.
+    the RK4 step, looked up on ``kernels`` at each call, and the mass V + P;
+    ``on_snapshot`` is passed on.
 
     Matched initialization: P from the vertex data, V from the edge means
     (flat edges integrate to their level; stationary-consistent data uses the
@@ -197,6 +199,7 @@ def simulate_asymptotic(data: InitialData, cfg: SimulationConfig, p: Parameters)
         lambda V, P, n: kernels.advance_asym(V, P, n, cfg.dt, p.alpha, p.beta, p.fprime0),
         lambda V, P, t: AsymptoticState(s0.j_min, s0.j_max, V, P, t),
         lambda s: float(s.V.sum() + s.P.sum()),
+        on_snapshot=on_snapshot,
     )
 
 

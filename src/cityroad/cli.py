@@ -1,4 +1,4 @@
-"""Command-line front end: config parsing, experiment orchestration, CSV output.
+"""Command-line front end: config parsing and experiment orchestration.
 
 Configuration is flat ``block.key = value`` text (diff-friendly, no schema
 engine); every float in data files prints with 17 significant digits so
@@ -6,8 +6,12 @@ identical configs produce byte-identical CSVs.
 
 Commands: speed, simulate, asymptotic, sweep, verify.  Exit codes: 0 success;
 1 a run finished with a contaminated window, or a verify criterion failed;
-2 configuration error or inadmissible parameters; 3 blow-up; 4 a solver
-post-check or a-priori bound check failed; 5 no front to measure.
+2 configuration error, inadmissible parameters, or a file that cannot be read
+or written; 3 blow-up; 4 a solver post-check or a-priori bound check failed;
+5 no front to measure.
+
+The trajectory CSVs of ``simulate`` and ``asymptotic`` are formatted and
+written by a second process while the run steps (``csvout.TrajectoryWriter``).
 """
 
 from __future__ import annotations
@@ -26,6 +30,15 @@ from .asymptotic import (
     compute_c_star_inf,
     large_d_convergence_experiment,
     simulate_asymptotic,
+)
+from .csvout import (
+    TrajectoryWriter,
+    asym_block,
+    edge_block,
+    fmt,
+    rho_block,
+    row_lines,
+    write_csv,
 )
 from .dispersion import compute_c_star
 from .front_speed import NoCrossingError, estimate_speed
@@ -46,6 +59,7 @@ _OUTDIR_ENV = "CITYROAD_OUTDIR"
 # (BlowUpError and NoCrossingError are RuntimeErrors, ConfigError a ValueError).
 _EXIT_CODES = (
     (ValueError, 2),
+    (OSError, 2),
     (BlowUpError, 3),
     (NoCrossingError, 5),
     (RuntimeError, 4),
@@ -207,70 +221,24 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
     return cfg
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _filled(template: str, t: str, values: np.ndarray) -> str:
-    """One block of CSV lines: ``template`` with each ``{t}`` set to the
-    time ``t`` and its ``%.17g`` slots filled with ``values`` in row-major
-    order (``'%.17g' % x`` prints exactly what _fmt prints, nan and -0
-    included)."""
-    return template.replace("{t}", t) % tuple(values.ravel().tolist())
-
-
-def _write_csv(path: Path, header: list[str], blocks) -> None:
-    """Write the header, then each block of formatted lines as it is made."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(blocks)
-
-
-def _lines(rows):
-    """One line per row: ints and strings as they are, floats with 17 digits."""
-    for row in rows:
-        yield ",".join(str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row) + "\n"
-
-
 def _cmd_speed(cfg: ExperimentConfig) -> int:
     p = cfg.normalized_parameters
     res = compute_c_star(p)
     inf = compute_c_star_inf(p)
     scan = res.scan
     rows = zip(scan.lam, scan.delta, scan.y, scan.mu, scan.c)
-    _write_csv(cfg.outdir / "dispersion_scan.csv", ["lambda", "delta", "y", "mu", "c"],
-               _lines(rows))
+    write_csv(cfg.outdir / "dispersion_scan.csv", ["lambda", "delta", "y", "mu", "c"],
+              row_lines(rows))
     print(
-        f"lambda0={_fmt(res.lambda0)} lambda_star={_fmt(res.lambda_star)} "
-        f"mu_star={_fmt(res.mu_star)} c_star={_fmt(res.c_star)} "
-        f"c_star_inf={_fmt(inf.c_star_inf)}"
+        f"lambda0={fmt(res.lambda0)} lambda_star={fmt(res.lambda_star)} "
+        f"mu_star={fmt(res.mu_star)} c_star={fmt(res.c_star)} "
+        f"c_star_inf={fmt(inf.c_star_inf)}"
     )
     if len(res.local_minima) > 1:
         print(f"note: {len(res.local_minima)} grid-local minima found "
               "(uniqueness of the minimizer is conjectural)")
     print(f"wrote {cfg.outdir / 'dispersion_scan.csv'}")
     return 0
-
-
-def _trajectory_blocks(traj):
-    """time,j,rho lines, one block per snapshot (the window is the run's)."""
-    s0 = traj.final
-    template = "".join(f"{{t}},{j},%.17g\n" for j in range(s0.j_min, s0.j_max + 1))
-    for s in traj.snapshots:
-        yield _filled(template, _fmt(s.time), s.rho)
-
-
-def _edge_blocks(traj):
-    """time,j,x,v lines, one block per edge and snapshot (the window is the run's)."""
-    s0 = traj.final
-    x = [_fmt(xi) for xi in np.arange(s0.m + 1) / s0.m]
-    templates = ["".join(f"{{t}},{j},{xi},%.17g\n" for xi in x)
-                 for j in range(s0.j_min, s0.j_max)]
-    for s in traj.snapshots:
-        t = _fmt(s.time)
-        for template, row in zip(templates, s.edges):
-            yield _filled(template, t, row)
 
 
 def _window_sized(cfg: ExperimentConfig, p: Parameters, c_star: float | None) -> SimulationConfig:
@@ -286,11 +254,12 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     p = cfg.normalized_parameters
     res = compute_c_star(p) if p.fprime0 > 0 else None
     sim = _window_sized(cfg, p, None if res is None else res.c_star)
-    traj = simulate(cfg.initial_data, sim, p)
     out = cfg.outdir
-    _write_csv(out / "trajectory_rho.csv", ["time", "j", "rho"], _trajectory_blocks(traj))
-    _write_csv(out / "trajectory_edge.csv", ["time", "j", "x", "v"], _edge_blocks(traj))
-    _write_csv(out / "mass.csv", ["time", "mass"], _lines(zip(traj.times, traj.mass)))
+    files = [("trajectory_rho.csv", ["time", "j", "rho"], rho_block),
+             ("trajectory_edge.csv", ["time", "j", "x", "v"], edge_block)]
+    with TrajectoryWriter(out, files) as writer:
+        traj = simulate(cfg.initial_data, sim, p, on_snapshot=writer.send)
+    write_csv(out / "mass.csv", ["time", "mass"], row_lines(zip(traj.times, traj.mass)))
     if res is not None:
         try:
             trace = estimate_speed(traj, cfg.threshold, cfg.window_fraction)
@@ -299,33 +268,26 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
         else:
             rel = abs(trace.fitted_speed - res.c_star) / res.c_star
             print(
-                f"measured_speed={_fmt(trace.fitted_speed)} c_star={_fmt(res.c_star)} "
-                f"rel_error={_fmt(rel)} fit_residual={_fmt(trace.fit_residual)}"
+                f"measured_speed={fmt(trace.fitted_speed)} c_star={fmt(res.c_star)} "
+                f"rel_error={fmt(rel)} fit_residual={fmt(trace.fit_residual)}"
             )
     else:
         drift = float(np.max(np.abs(traj.mass - traj.mass[0])) / abs(traj.mass[0]))
-        print(f"reaction-free run: relative_mass_drift={_fmt(drift)}")
-    print(f"compat_max_residual={_fmt(traj.compat_max_residual)} "
+        print(f"reaction-free run: relative_mass_drift={fmt(drift)}")
+    print(f"compat_max_residual={fmt(traj.compat_max_residual)} "
           f"contaminated={str(traj.contaminated).lower()}")
     print(f"wrote {out / 'trajectory_rho.csv'}, {out / 'trajectory_edge.csv'}, {out / 'mass.csv'}")
     return 1 if traj.contaminated else 0
 
 
-def _asym_blocks(traj):
-    """time,j,V,P lines, one block per snapshot (the window is the run's);
-    the last vertex has no edge and gets V = nan."""
-    s0 = traj.final
-    template = "".join(f"{{t}},{j},%.17g,%.17g\n" for j in range(s0.j_min, s0.j_max + 1))
-    for s in traj.snapshots:
-        yield _filled(template, _fmt(s.time), np.column_stack((np.append(s.V, math.nan), s.P)))
-
-
 def _cmd_asymptotic(cfg: ExperimentConfig) -> int:
     p = cfg.normalized_parameters
-    traj = simulate_asymptotic(cfg.initial_data, cfg.simulation, p)
     out = cfg.outdir
-    _write_csv(out / "asymptotic_vp.csv", ["time", "j", "V", "P"], _asym_blocks(traj))
-    _write_csv(out / "asymptotic_mass.csv", ["time", "mass"], _lines(zip(traj.times, traj.mass)))
+    vp_file = [("asymptotic_vp.csv", ["time", "j", "V", "P"], asym_block)]
+    with TrajectoryWriter(out, vp_file) as writer:
+        traj = simulate_asymptotic(cfg.initial_data, cfg.simulation, p,
+                                   on_snapshot=writer.send)
+    write_csv(out / "asymptotic_mass.csv", ["time", "mass"], row_lines(zip(traj.times, traj.mass)))
     flag = f"contaminated={str(traj.contaminated).lower()}"
     if p.fprime0 > 0:
         inf = compute_c_star_inf(p)
@@ -337,8 +299,8 @@ def _cmd_asymptotic(cfg: ExperimentConfig) -> int:
         else:
             rel = abs(trace.fitted_speed - inf.c_star_inf) / inf.c_star_inf
             print(
-                f"measured_speed={_fmt(trace.fitted_speed)} c_star_inf={_fmt(inf.c_star_inf)} "
-                f"rel_error={_fmt(rel)} {flag}"
+                f"measured_speed={fmt(trace.fitted_speed)} c_star_inf={fmt(inf.c_star_inf)} "
+                f"rel_error={fmt(rel)} {flag}"
             )
     else:
         print(flag)
@@ -349,10 +311,10 @@ def _cmd_asymptotic(cfg: ExperimentConfig) -> int:
             eps_values, cfg.initial_data, cfg.raw["largeD.T"], p,
             m=cfg.simulation.m, dt=cfg.simulation.dt,
         )
-        _write_csv(out / "large_d_errors.csv", ["epsilon", "error"], _lines(rows))
+        write_csv(out / "large_d_errors.csv", ["epsilon", "error"], row_lines(rows))
         files.append(out / "large_d_errors.csv")
         for eps, err in rows:
-            print(f"epsilon={_fmt(eps)} error={_fmt(err)}")
+            print(f"epsilon={fmt(eps)} error={fmt(err)}")
     print("wrote " + ", ".join(str(f) for f in files))
     return 1 if traj.contaminated else 0
 
@@ -390,17 +352,17 @@ def _cmd_sweep(cfg: ExperimentConfig, parallel: bool = False) -> int:
             results = list(pool.map(_sweep_point, jobs))
     else:
         results = [_sweep_point(job) for job in jobs]
-    _write_csv(cfg.outdir / "sweep.csv",
-               ["param", "value", "c_theory", "c_measured", "rel_error", "status"],
-               _lines(row for row, _, _ in results))
+    write_csv(cfg.outdir / "sweep.csv",
+              ["param", "value", "c_theory", "c_measured", "rel_error", "status"],
+              row_lines(row for row, _, _ in results))
     contaminated = False
     for (n, v, th, ms, rel, status), bad, _ in results:
         if status != "ok":
-            print(f"{n}={_fmt(v)} status={status}")
+            print(f"{n}={fmt(v)} status={status}")
             continue
         flag = " (window contaminated)" if bad else ""
         contaminated = contaminated or bad
-        print(f"{n}={_fmt(v)} c_theory={_fmt(th)} c_measured={_fmt(ms)} rel_error={_fmt(rel)}{flag}")
+        print(f"{n}={fmt(v)} c_theory={fmt(th)} c_measured={fmt(ms)} rel_error={fmt(rel)}{flag}")
     print(f"wrote {cfg.outdir / 'sweep.csv'}")
     failure = next((exc for _, _, exc in results if exc is not None), None)
     if failure is not None:
@@ -453,6 +415,7 @@ def main(argv: list[str] | None = None) -> int:
                 only = [int(x) for x in args.only.split(",") if x.strip()]
             return _cmd_verify(only)
         cfg = parse_config(args.config, args.sets)
+        cfg.outdir.mkdir(parents=True, exist_ok=True)  # before anything is solved
         if args.command == "speed":
             return _cmd_speed(cfg)
         if args.command == "simulate":
@@ -462,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(cfg, parallel=args.parallel)
         raise AssertionError(args.command)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         message = " ".join(str(exc).split())
         print(f"error: {message}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

@@ -217,9 +217,11 @@ def compute_c_star(p: Parameters) -> DispersionResult:
 
     A geometric grid over (lambda0 (1 + 1e-6), lambda0 * _GRID_SPAN) locates the
     global minimum, the bracket zoom refines it to relative width 1e-10, and
-    the scan endpoints are checked to exceed the minimum.  An endpoint grid
-    minimum triggers one automatic 10x extension of the upper bound; a
-    persistent endpoint minimum is an error.
+    the scan endpoints are checked to exceed the minimum.  A grid minimum on
+    the first point is zoomed between the first two points (at small d the
+    minimizer lies that close to lambda0); one on the last point triggers one
+    automatic 10x extension of the upper bound, and a persistent one is an
+    error.
     """
     p.require_unit_length()
     lam0 = find_lambda0(p)
@@ -231,12 +233,12 @@ def compute_c_star(p: Parameters) -> DispersionResult:
         if np.any(~np.isfinite(c)):
             raise RuntimeError("speed curve undefined inside the scan range")
         i_min = int(np.argmin(c))
-        if 0 < i_min < len(lams) - 1:
+        if i_min < len(lams) - 1:
             break
         hi *= 10.0
     else:
         raise RuntimeError("speed minimum stuck at the scan endpoint")
-    a, b = lams[i_min - 1], lams[i_min + 1]
+    a, b = lams[max(i_min - 1, 0)], lams[i_min + 1]
     while (b - a) > 1e-10 * max(1.0, abs(a), abs(b)):
         x = np.linspace(a, b, _ZOOM_POINTS)
         i = int(np.argmin(_eval_arrays(x, p)[3]))

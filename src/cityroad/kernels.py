@@ -8,8 +8,9 @@ rank-one load terms and a few vertex updates.
 
 At ~100 vertices a step is dominated by the fixed cost of each numpy call,
 not by arithmetic, so both kernels allocate their work buffers once per call
-and then step with ``out=`` ufuncs only: no new arrays per step (apart from
-the temporaries of the lattice's ``reaction`` callable) and fewer calls.
+and then step with ``out=`` ufuncs only: no new arrays per step and fewer
+calls.  Both take the logistic rate and evaluate ``(rate u)(1 - u)`` in
+place.
 
 * ``advance_lattice`` ping-pongs two ``(n_edges, m+3)`` buffers laid out as
   ``[v | g_left | g_right]``: the Robin loads are written into the last two
@@ -40,15 +41,16 @@ import numpy as np
 __all__ = ["advance_lattice", "advance_asym"]
 
 
-def advance_lattice(v, rho, nsteps, dt, alpha, beta, reaction, op):
+def advance_lattice(v, rho, nsteps, dt, alpha, beta, rate, op):
     """Advance edges ``v`` (n_edges, m+1) and vertices ``rho`` by ``nsteps``
     IMEX predictor-corrector steps; returns (v, rho, leak).
 
-    Predictor: explicit Euler on the vertex equation with reaction
-    ``reaction(rho)``.  Edges: one Crank-Nicolson step of ``op`` with Robin
-    loads averaged between beta rho (start) and beta rho~ (end).  Corrector:
-    trapezoid of the vertex right-hand side with old and new edge traces.
-    ``leak`` is the trapezoid outflux beta rho through the two window ends.
+    Predictor: explicit Euler on the vertex equation with the logistic
+    reaction ``(rate rho)(1 - rho)``.  Edges: one Crank-Nicolson step of
+    ``op`` with Robin loads averaged between beta rho (start) and beta rho~
+    (end).  Corrector: trapezoid of the vertex right-hand side with old and
+    new edge traces.  ``leak`` is the trapezoid outflux beta rho through the
+    two window ends.
     The inputs are not modified; the returned arrays are new.
     """
     v = np.asarray(v, dtype=float)
@@ -69,8 +71,11 @@ def advance_lattice(v, rho, nsteps, dt, alpha, beta, reaction, op):
         np.multiply(inflow, alpha, out=inflow)
 
     def vertex_rhs(r, out):
-        # (reaction(r) + inflow) - 2 beta r
-        np.add(reaction(r), inflow, out=out)
+        # (((rate r)(1 - r)) + inflow) - 2 beta r
+        np.multiply(r, rate, out=out)
+        np.subtract(1.0, r, out=tmp)
+        np.multiply(out, tmp, out=out)
+        np.add(out, inflow, out=out)
         np.multiply(r, two_beta, out=tmp)
         np.subtract(out, tmp, out=out)
 

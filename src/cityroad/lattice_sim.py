@@ -290,21 +290,24 @@ def step_system(s: LatticeState, dt: float, p: Parameters) -> LatticeState:
     p.require_unit_length()
     op = assemble_step_operator(s.m, dt, p)
     v, rho, _ = kernels.advance_lattice(
-        s.edges, s.rho, 1, dt, p.alpha, p.beta, p.nonlinearity, op
+        s.edges, s.rho, 1, dt, p.alpha, p.beta, p.fprime0, op
     )
     check_blow_up(p, s.edges, s.rho, v, rho, s.time + dt)
     return LatticeState(s.j_min, s.j_max, rho, v, s.time + dt)
 
 
 def run_system(data: InitialData, cfg: SimulationConfig, p: Parameters, v, rho,
-               advance, snapshot, mass, compat: float = 0.0) -> Trajectory:
+               advance, snapshot, mass, compat: float = 0.0,
+               on_snapshot=None) -> Trajectory:
     """Step edges ``v`` and vertices ``rho`` (realized from ``data``) to time
     T with ``advance(v, rho, n) -> (v, rho, leak)``, recording
     ``snapshot(v, rho, t)`` every stride steps (~200 snapshots by default)
     and ``mass(snapshot)`` plus the accumulated leak.  Each snapshot is
     checked for blow-up, contamination and the a-priori bounds: values >= 0,
     vertices <= max(1, max rho0), edges <= max(beta/alpha, max v0), each to
-    within _BOUND_TOL (relative to max(1, initial max) on the upper bounds)."""
+    within _BOUND_TOL (relative to max(1, initial max) on the upper bounds).
+    ``on_snapshot``, if given, is called with each snapshot once it is
+    checked and recorded."""
     check_dt(cfg.dt, p)
     nsteps = round(cfg.T / cfg.dt)
     if nsteps < 1 or abs(nsteps * cfg.dt - cfg.T) > 1e-9 * cfg.T:
@@ -319,6 +322,8 @@ def run_system(data: InitialData, cfg: SimulationConfig, p: Parameters, v, rho,
 
     snapshots = [snapshot(v, rho, 0.0)]
     series = [mass(snapshots[0])]
+    if on_snapshot is not None:
+        on_snapshot(snapshots[0])
     leak = 0.0
     contaminated = _snapshot_contaminated(rho, check_left)
     done = 0
@@ -339,6 +344,8 @@ def run_system(data: InitialData, cfg: SimulationConfig, p: Parameters, v, rho,
         contaminated = contaminated or _snapshot_contaminated(rho, check_left)
         snapshots.append(snapshot(v, rho, t))
         series.append(mass(snapshots[-1]) + leak)
+        if on_snapshot is not None:
+            on_snapshot(snapshots[-1])
     return Trajectory(
         snapshots=tuple(snapshots),
         mass=np.array(series),
@@ -349,18 +356,20 @@ def run_system(data: InitialData, cfg: SimulationConfig, p: Parameters, v, rho,
     )
 
 
-def simulate(data: InitialData, cfg: SimulationConfig, p: Parameters) -> Trajectory:
+def simulate(data: InitialData, cfg: SimulationConfig, p: Parameters,
+             on_snapshot=None) -> Trajectory:
     """Run the coupled system to time T: ``run_system`` with the IMEX step,
-    looked up on ``kernels`` at each call."""
+    looked up on ``kernels`` at each call; ``on_snapshot`` is passed on."""
     p.require_unit_length()
     s0 = init_state(data, cfg, p)
     op = assemble_step_operator(cfg.m, cfg.dt, p)
     return run_system(
         data, cfg, p, s0.edges, s0.rho,
         lambda v, rho, n: kernels.advance_lattice(
-            v, rho, n, cfg.dt, p.alpha, p.beta, p.nonlinearity, op),
+            v, rho, n, cfg.dt, p.alpha, p.beta, p.fprime0, op),
         lambda v, rho, t: LatticeState(s0.j_min, s0.j_max, rho, v, t),
         total_mass, compat=compatibility_residuals(s0, p).max_residual,
+        on_snapshot=on_snapshot,
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cityroad import cli
+from cityroad import cli, csvout, kernels
 from cityroad.cli import ConfigError, main, parse_config
 from cityroad.front_speed import NoCrossingError
 from cityroad.lattice_sim import BlowUpError
@@ -312,24 +313,125 @@ class TestWriter:
     def snapshot(self, **arrays):
         return SimpleNamespace(j_min=-1, j_max=2, time=0.25, **arrays)
 
-    def check(self, blocks, snap, want_rows):
-        traj = SimpleNamespace(snapshots=(snap,), final=snap)
+    def check(self, block, snap, want_rows):
         want = "".join(",".join(row) + "\n" for row in want_rows)
-        assert "".join(blocks(traj)) == want
+        assert block(snap)(snap) == want
 
     def test_special_values(self):
         fmt = [format(x, ".17g") for x in self.VALUES]
         assert fmt[:2] == ["-0", "nan"]
         rho = np.array(self.VALUES)
-        self.check(cli._trajectory_blocks, self.snapshot(rho=rho),
+        self.check(csvout.rho_block, self.snapshot(rho=rho),
                    [("0.25", str(j), f) for j, f in zip(range(-1, 3), fmt)])
         edges = np.array([self.VALUES[:3], self.VALUES[1:], self.VALUES[::-1][:3]])
         snap = self.snapshot(edges=edges, m=2)
-        self.check(cli._edge_blocks, snap,
+        self.check(csvout.edge_block, snap,
                    [("0.25", str(j), xi, format(x, ".17g"))
                     for j, row in zip(range(-1, 2), edges.tolist())
                     for xi, x in zip(("0", "0.5", "1"), row)])
         V, P = np.array(self.VALUES[:3]), np.array(self.VALUES[::-1])
-        self.check(cli._asym_blocks, self.snapshot(V=V, P=P),
+        self.check(csvout.asym_block, self.snapshot(V=V, P=P),
                    [("0.25", str(j), format(v, ".17g"), format(pj, ".17g"))
                     for j, v, pj in zip(range(-1, 3), [*V.tolist(), math.nan], P.tolist())])
+
+
+SIMULATE = ["simulate", "--set", "simulation.T=2", "--set", "simulation.dt=0.002",
+            "--set", "simulation.m=8", "--set", "simulation.c_upper=1.0",
+            "--set", "initial.kind=sine_bump", "--set", "measurement.window=0.1,1.0"]
+ASYMPTOTIC = ["asymptotic", "--set", "simulation.T=30", "--set", "simulation.dt=0.01",
+              "--set", "simulation.c_upper=1.2"]
+
+
+class TestTrajectoryWriter:
+    """The trajectory CSVs come from a second process while the run steps,
+    and appear only when the run and the writer both succeed."""
+
+    FILES = {"simulate": ("trajectory_rho.csv", "trajectory_edge.csv"),
+             "asymptotic": ("asymptotic_vp.csv",)}
+
+    @pytest.mark.parametrize("argv", [SIMULATE, ASYMPTOTIC], ids=lambda a: a[0])
+    def test_streamed_csvs_equal_in_process_formatting(self, argv, tmp_path, monkeypatch,
+                                                       capsys):
+        name = "simulate_asymptotic" if argv[0] == "asymptotic" else "simulate"
+        runs, run = [], getattr(cli, name)
+
+        def spy(*args, **kwargs):
+            runs.append(run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, name, spy)
+        out = tmp_path / "out"
+        monkeypatch.setenv("CITYROAD_OUTDIR", str(out))
+        assert main(argv) == 0, capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not list(out.glob("*.part"))
+        (traj,) = runs
+        headers = {"trajectory_rho.csv": ("time,j,rho", csvout.rho_block),
+                   "trajectory_edge.csv": ("time,j,x,v", csvout.edge_block),
+                   "asymptotic_vp.csv": ("time,j,V,P", csvout.asym_block)}
+        for filename in self.FILES[argv[0]]:
+            header, block = headers[filename]
+            fmt = block(traj.snapshots[0])
+            want = header + "\n" + "".join(fmt(s) for s in traj.snapshots)
+            assert (out / filename).read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("argv,kernel", [(SIMULATE, "advance_lattice"),
+                                             (ASYMPTOTIC, "advance_asym")],
+                             ids=["simulate", "asymptotic"])
+    @pytest.mark.parametrize("exc,code", [
+        (BlowUpError("solution reached 1e9 by t=0.5"), 3),
+        (RuntimeError("edge bound violated at t=0.5"), 4),
+    ])
+    def test_failed_run_leaves_no_trajectory(self, argv, kernel, exc, code, tmp_path,
+                                             monkeypatch, capsys):
+        # the run fails after some snapshots have gone to the writer
+        calls, step = [], getattr(kernels, kernel)
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) > 20:
+                raise exc
+            return step(*args)
+
+        monkeypatch.setattr(kernels, kernel, failing)
+        out = tmp_path / "out"
+        monkeypatch.setenv("CITYROAD_OUTDIR", str(out))
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"error: {exc}\n"
+        assert list(out.iterdir()) == []  # no trajectory CSV, no .part file
+        assert multiprocessing.active_children() == []
+
+    def test_writer_failure_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # a directory in the way of one .part file stops the writer
+        out = tmp_path / "out"
+        (out / "trajectory_edge.csv.part").mkdir(parents=True)
+        monkeypatch.setenv("CITYROAD_OUTDIR", str(out))
+        assert main(SIMULATE) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: trajectory writer failed: IsADirectoryError: ")
+        assert (out / "trajectory_edge.csv.part").is_dir()
+        assert [p.name for p in out.iterdir()] == ["trajectory_edge.csv.part"]
+        assert multiprocessing.active_children() == []
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", ["speed", "simulate", "asymptotic", "sweep"])
+    def test_unusable_directory_fails_before_solving(self, command, tmp_path, monkeypatch,
+                                                     capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("solved or stepped before the output directory was made")
+
+        for name in ("compute_c_star", "compute_c_star_inf", "simulate",
+                     "simulate_asymptotic"):
+            monkeypatch.setattr(cli, name, unexpected)
+        monkeypatch.delenv("CITYROAD_OUTDIR", raising=False)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [command, "--set", f"output.dir={blocker / 'sub'}", "--set", "simulation.T=1",
+                "--set", "sweep.values=1"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Not a directory" in err

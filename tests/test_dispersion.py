@@ -154,6 +154,26 @@ class TestCStar:
         for factor in (1.0 - 1e-4, 1.0 + 1e-4):
             assert mp_c(res.lambda_star * factor) > res.c_star
 
+    @pytest.mark.parametrize("d", [1e-8, 1e-9, 1e-10, 1e-12])
+    def test_minimum_between_first_two_scan_points(self, d):
+        # at d <= 1e-8 the grid minimum sits on the scan's first point and
+        # the minimizer between it and the second; 50-digit c(lambda) as above
+        p = params(d=d)
+        res = compute_c_star(p)
+        assert res.scan.lam[0] < res.lambda_star < res.scan.lam[1]
+
+        def c(lam):
+            y = mp_y(lam, 1.0, 1.0, d, 1.0, dps=mpmath.mp.dps, to=mpmath.mpf)
+            return lam / mpmath.acosh(y)
+
+        with mpmath.workdps(50):
+            # c is steep near lambda0: a bracketing solver on that scan interval
+            bracket = (mpmath.mpf(res.scan.lam[0]), mpmath.mpf(res.scan.lam[1]))
+            lam_mp = mpmath.findroot(lambda lam: mpmath.diff(c, lam), bracket,
+                                     solver="anderson")
+            assert res.c_star == pytest.approx(float(c(lam_mp)), rel=1e-13)
+        assert exponential_ansatz_residual(res.lambda_star, res.mu_star, p) <= 1e-15
+
     def test_unique_interior_minimum(self):
         res = compute_c_star(params())
         assert len(res.local_minima) == 1

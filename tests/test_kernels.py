@@ -63,7 +63,7 @@ class TestAdvanceLattice:
         v0_in, rho0_in = v0.copy(), rho0.copy()
         op = assemble_step_operator(m, dt, p)
         v, rho, leak = kernels.advance_lattice(v0, rho0, nsteps, dt, p.alpha, p.beta,
-                                               p.nonlinearity, op)
+                                               p.fprime0, op)
         assert np.array_equal(v0, v0_in) and np.array_equal(rho0, rho0_in)
         s = LatticeState(0, 12, rho0, v0, 0.0)
         leak_ref = 0.0
@@ -83,7 +83,7 @@ class TestAdvanceLattice:
         rho = rng.uniform(0.0, 1.0, 6)
         op = assemble_step_operator(m, dt, p)
         v1, rho1, _ = kernels.advance_lattice(v, rho, 1, dt, p.alpha, p.beta,
-                                              p.nonlinearity, op)
+                                              p.fprime0, op)
 
         def vertex_rhs(r, edges):
             incoming = np.zeros_like(r)
@@ -100,8 +100,10 @@ class TestAdvanceLattice:
         assert np.max(np.abs(rho1 - rho_ref)) <= 1e-12
 
 
-def lattice_reference(v, rho, nsteps, dt, alpha, beta, reaction, op):
-    """The IMEX step written per array, one new array per operation."""
+def lattice_reference(v, rho, nsteps, dt, alpha, beta, rate, op):
+    """The IMEX step written per array, one new array per operation, with the
+    reaction as ``model.logistic(rate)`` evaluates it."""
+    reaction = logistic(rate)
 
     def incoming(edges):
         inc = np.zeros(len(rho))
@@ -164,7 +166,7 @@ class TestBitIdentical:
         v0 = rng.uniform(0.0, 1.0, (n_vertices - 1, m + 1))
         rho0 = rng.uniform(0.0, 1.0, n_vertices)
         v0_in, rho0_in = v0.copy(), rho0.copy()
-        args = (nsteps, self.DT, p.alpha, p.beta, p.nonlinearity, op)
+        args = (nsteps, self.DT, p.alpha, p.beta, p.fprime0, op)
         v, rho, leak = kernels.advance_lattice(v0, rho0, *args)
         v_ref, rho_ref, leak_ref = lattice_reference(v0, rho0, *args)
         assert np.array_equal(v0, v0_in) and np.array_equal(rho0, rho0_in)
@@ -193,7 +195,7 @@ class TestBitIdentical:
         op = assemble_step_operator(8, self.DT, p)
         v0, rho0 = np.zeros((3, 9)), np.zeros(4)
         v, rho, _ = kernels.advance_lattice(v0, rho0, 0, self.DT, p.alpha, p.beta,
-                                            p.nonlinearity, op)
+                                            p.fprime0, op)
         V, P, _ = kernels.advance_asym(v0[:, 0], rho0, 0, self.DT, p.alpha, p.beta, 1.0)
         for out, given in ((v, v0), (rho, rho0), (V, v0), (P, rho0)):
             assert not np.shares_memory(out, given)
