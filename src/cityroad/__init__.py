@@ -31,7 +31,7 @@ from .lattice_sim import (
     SimulationConfig,
     Trajectory,
     check_long_time_convergence,
-    compatibility_residuals,
+    compatibility_residual,
     init_state,
     run_system,
     simulate,

@@ -333,7 +333,7 @@ CRITERIA = [
 ]
 
 
-def run_criteria(only=None, quiet: bool = False) -> list[CriterionResult]:
+def run_criteria(only=None) -> list[CriterionResult]:
     """Run the acceptance criteria (all, or the numbered subset) and print one
     pass/fail line each."""
     results = []
@@ -346,6 +346,5 @@ def run_criteria(only=None, quiet: bool = False) -> list[CriterionResult]:
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         result = CriterionResult(number, name, passed, detail)
         results.append(result)
-        if not quiet:
-            print(f"{'PASS' if passed else 'FAIL'} criterion {number}: {name} -- {detail}")
+        print(f"{'PASS' if passed else 'FAIL'} criterion {number}: {name} -- {detail}")
     return results

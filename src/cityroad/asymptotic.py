@@ -186,7 +186,6 @@ def simulate_asymptotic(data: InitialData, cfg: SimulationConfig, p: Parameters,
     limit relation V_j = beta/(2 alpha) (P_j + P_{j+1})).  The outflux is
     integrated inside the RK4 stages, so the reaction-free total is conserved
     to roundoff."""
-    p.require_unit_length()
     s0 = init_state(data, cfg, p)
     P = s0.rho.copy()
     if data.edge_mode == "stationary":
@@ -219,7 +218,6 @@ def large_d_convergence_experiment(
     x-grid, of |v - V| and |rho - P|.  Transients before t = 1 are excluded
     (the edge profiles need an O(eps) relaxation time to flatten).
     """
-    p.require_unit_length()
     if T <= 1.0:
         raise ValueError("need T > 1: errors are measured on [1, T]")
     c_inf = compute_c_star_inf(p).c_star_inf

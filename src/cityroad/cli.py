@@ -6,9 +6,9 @@ identical configs produce byte-identical CSVs.
 
 Commands: speed, simulate, asymptotic, sweep, verify.  Exit codes: 0 success;
 1 a run finished with a contaminated window, or a verify criterion failed;
-2 configuration error, inadmissible parameters, or a file that cannot be read
-or written; 3 blow-up; 4 a solver post-check or a-priori bound check failed;
-5 no front to measure.
+2 configuration error, inadmissible parameters, a file that cannot be read
+or written, or a window too large to allocate; 3 blow-up; 4 a solver
+post-check or a-priori bound check failed; 5 no front to measure.
 
 The trajectory CSVs of ``simulate`` and ``asymptotic`` are formatted and
 written by a second process while the run steps (``csvout.TrajectoryWriter``).
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -53,13 +52,12 @@ from .model import Parameters, logistic, rescale_to_unit_length
 
 __all__ = ["ExperimentConfig", "parse_config", "run_command", "main"]
 
-_OUTDIR_ENV = "CITYROAD_OUTDIR"
-
 # Error class -> exit code; the first match wins, so subclasses come first
 # (BlowUpError and NoCrossingError are RuntimeErrors, ConfigError a ValueError).
 _EXIT_CODES = (
     (ValueError, 2),
     (OSError, 2),
+    (MemoryError, 2),
     (BlowUpError, 3),
     (NoCrossingError, 5),
     (RuntimeError, 4),
@@ -112,17 +110,14 @@ class ExperimentConfig:
 
     @property
     def parameters(self) -> Parameters:
-        return Parameters(
+        """The unit-length model: ``parameters.ell`` is scaled out here."""
+        p = Parameters(
             alpha=self.raw["parameters.alpha"],
             beta=self.raw["parameters.beta"],
             d=self.raw["parameters.d"],
-            ell=self.raw["parameters.ell"],
             nonlinearity=logistic(self.raw["parameters.fprime0"]),
         )
-
-    @property
-    def normalized_parameters(self) -> Parameters:
-        return rescale_to_unit_length(self.parameters).params
+        return rescale_to_unit_length(p, self.raw["parameters.ell"])
 
     @property
     def simulation(self) -> SimulationConfig:
@@ -160,7 +155,7 @@ class ExperimentConfig:
 
     @property
     def outdir(self) -> Path:
-        return Path(os.environ.get(_OUTDIR_ENV, self.raw["output.dir"]))
+        return Path(self.raw["output.dir"])
 
     def validate(self):
         _ = self.parameters
@@ -222,7 +217,7 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
 
 
 def _cmd_speed(cfg: ExperimentConfig) -> int:
-    p = cfg.normalized_parameters
+    p = cfg.parameters
     res = compute_c_star(p)
     inf = compute_c_star_inf(p)
     scan = res.scan
@@ -251,7 +246,7 @@ def _window_sized(cfg: ExperimentConfig, p: Parameters, c_star: float | None) ->
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    p = cfg.normalized_parameters
+    p = cfg.parameters
     res = compute_c_star(p) if p.fprime0 > 0 else None
     sim = _window_sized(cfg, p, None if res is None else res.c_star)
     out = cfg.outdir
@@ -281,7 +276,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_asymptotic(cfg: ExperimentConfig) -> int:
-    p = cfg.normalized_parameters
+    p = cfg.parameters
     out = cfg.outdir
     vp_file = [("asymptotic_vp.csv", ["time", "j", "V", "P"], asym_block)]
     with TrajectoryWriter(out, vp_file) as writer:
@@ -329,7 +324,7 @@ def _sweep_point(args):
     cfg.raw[f"parameters.{name}"] = value
     theory = math.nan
     try:
-        p = cfg.normalized_parameters
+        p = cfg.parameters
         theory = compute_c_star(p).c_star
         traj = simulate(cfg.initial_data, _window_sized(cfg, p, theory), p)
         trace = estimate_speed(traj, cfg.threshold, cfg.window_fraction)
@@ -425,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(cfg, parallel=args.parallel)
         raise AssertionError(args.command)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         message = " ".join(str(exc).split())
         print(f"error: {message}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

@@ -153,7 +153,6 @@ def dispersion_eval(lam: float, p: Parameters) -> DispersionPoint:
     y <= 1 (not an error: below the threshold no exponential solution exists)."""
     if lam < 0 or not math.isfinite(lam):
         raise ValueError("lambda must be finite and >= 0")
-    p.require_unit_length()
     delta, y, mu, c = (float(v[0]) for v in _eval_arrays(np.array([lam]), p))
     return DispersionPoint(float(lam), delta, y, None if math.isnan(mu) else mu,
                            None if math.isnan(c) else c)
@@ -179,9 +178,10 @@ def _zoom_sign_change(fun, a: float, b: float):
 def find_lambda0(p: Parameters) -> float:
     """Unique lambda where y = 1, i.e. where the increasing line
     g(lambda) = lambda + 2 beta - f'(0) crosses the decreasing exchange curve
-    G(lambda).  Bracketed by doubling, then zoomed to relative width 1e-12;
-    the result is cross-checked through |y(lambda0) - 1| <= 1e-10."""
-    p.require_unit_length()
+    G(lambda).  Bracketed by doubling, then zoomed to relative width 1e-12
+    and polished on y - 1.  The result is certified by |y(lambda0) - 1| <=
+    1e-10 or, where y is too steep for that, by g - G changing sign across
+    the final bracket of a few ulps."""
     if p.fprime0 <= 0:
         raise ValueError("threshold needs f'(0) > 0")
     a = 0.0
@@ -203,12 +203,13 @@ def find_lambda0(p: Parameters) -> float:
            and (b - a) > 4.0 * np.finfo(float).eps * max(1.0, b)):
         a, b, resid_a, resid_b = _zoom_sign_change(y_minus_1, a, b)
     lam0, resid = (a, resid_a) if abs(resid_a) <= abs(resid_b) else (b, resid_b)
-    # Once the bracket is a few ulps wide the achievable |y - 1| is set by the
-    # local slope; accept that floor (it exceeds 1e-10 only for extreme
-    # parameter ratios where y is steep on the lambda grid).
-    floor = 4.0 * abs(resid_b - resid_a)
-    if abs(resid) > max(1e-10, floor):
-        raise RuntimeError(f"threshold post-check failed: |y - 1| = {abs(resid):.3e}")
+    if abs(resid) > 1e-10:
+        # y can jump across 1 within one ulp of lambda (small d); the monotone
+        # g - G still brackets the root if it changes sign across [a, b]
+        g_a, g_b = (float(g) for g in _g_minus_G(np.array([a, b]), p))
+        if not g_a <= 0.0 < g_b:
+            raise RuntimeError(f"threshold post-check failed: |y - 1| = {abs(resid):.3e} "
+                               f"and g - G = ({g_a:.3e}, {g_b:.3e}) at the bracket ends")
     return lam0
 
 
@@ -223,7 +224,6 @@ def compute_c_star(p: Parameters) -> DispersionResult:
     automatic 10x extension of the upper bound, and a persistent one is an
     error.
     """
-    p.require_unit_length()
     lam0 = find_lambda0(p)
     lo = lam0 * (1.0 + 1e-6)
     hi = lam0 * _GRID_SPAN

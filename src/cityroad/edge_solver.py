@@ -119,7 +119,6 @@ def assemble_step_operator(m: int, dt: float, p: Parameters) -> StepOperator:
         raise ValueError("need m >= 2")
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
-    p.require_unit_length()
     return _assemble_cached(m, float(dt), p.d, p.alpha)
 
 
@@ -245,7 +244,6 @@ def integral_representation_oracle(h0, g, h, t: float, x: float, p: Parameters) 
     formula is evaluated at (t, x).  This is a verification oracle, not a
     production solver.
     """
-    p.require_unit_length()
     if not (t > 0):
         raise ValueError("need t > 0")
     if not (0.0 <= x <= 1.0):

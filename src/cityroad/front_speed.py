@@ -3,7 +3,8 @@
 The front position at one time is the interpolated lattice coordinate of the
 rightmost downward crossing of a density threshold; its least-squares slope
 over the late part of the run is the measured speed to compare against the
-dispersion predictions.
+dispersion predictions.  Only the rightward front is tracked: the model is
+mirror-symmetric, so a leftward front moves at the same speed.
 """
 
 from __future__ import annotations
@@ -72,16 +73,14 @@ def estimate_speed(
     traj,
     threshold: float = 0.5,
     window_fraction: tuple[float, float] = (0.5, 1.0),
-    direction: str = "right",
 ) -> FrontTrace:
-    """Least-squares front speed over the fractional time window.
+    """Least-squares speed of the rightward front over the fractional time
+    window.
 
     Works on any trajectory whose snapshots expose time, j_min and a vertex
-    density array; the leftward front of the mirror-symmetric model is
-    measured by flipping the index axis.
+    density array; by the model's mirror symmetry a leftward front has the
+    same speed.
     """
-    if direction not in ("left", "right"):
-        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
     lo_f, hi_f = window_fraction
     if not (0.0 <= lo_f < hi_f <= 1.0):
         raise ValueError("window fractions must satisfy 0 <= lo < hi <= 1")
@@ -93,14 +92,8 @@ def estimate_speed(
     for s in snaps:
         if not (t_lo <= s.time <= t_hi):
             continue
-        dens = np.asarray(s.densities)
-        if direction == "left":
-            # mirror the index axis: the leftward front coordinate decreases
-            pos = s.j_min + (len(dens) - 1) - level_position(dens[::-1], threshold)
-        else:
-            pos = s.j_min + level_position(dens, threshold)
         times.append(s.time)
-        positions.append(pos)
+        positions.append(s.j_min + level_position(np.asarray(s.densities), threshold))
     if len(times) < 10:
         raise ValueError("fit window holds fewer than 10 snapshots")
     times = np.array(times)
@@ -141,28 +134,19 @@ def loglog_fit(fprime0_values, speeds) -> LogLogFit:
     return LogLogFit(float(a1), float(a0), res)
 
 
-def outer_occupancy(traj, speed: float, factor: float = 1.2, sides: str = "auto") -> float:
+def outer_occupancy(traj, speed: float, factor: float = 1.2) -> float:
     """Sup of vertex and edge values over |j| >= factor * speed * t at the
-    final time.  With ``sides='auto'`` only boundaries that started empty are
+    final time.  Only the sides whose window boundary started empty are
     scanned, so block data occupying one half-line checks its front side only.
     """
     final = traj.snapshots[-1]
     cutoff = factor * speed * final.time
     js = np.arange(final.j_min, final.j_max + 1)
     dens0 = np.asarray(traj.snapshots[0].densities)
-    if sides == "auto":
-        check_left = dens0[0] == 0.0
-        check_right = dens0[-1] == 0.0
-    elif sides == "both":
-        check_left = check_right = True
-    elif sides == "right":
-        check_left, check_right = False, True
-    else:
-        raise ValueError("sides must be auto|both|right")
     mask = np.zeros(len(js), dtype=bool)
-    if check_right:
+    if dens0[-1] == 0.0:
         mask |= js >= cutoff
-    if check_left:
+    if dens0[0] == 0.0:
         mask |= js <= -cutoff
     if not np.any(mask):
         raise ValueError("outer region is empty; enlarge the window or lower T")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +35,8 @@ __all__ = [
     "InitialData",
     "SimulationConfig",
     "Trajectory",
-    "CompatibilityReport",
     "init_state",
-    "compatibility_residuals",
+    "compatibility_residual",
     "step_system",
     "check_dt",
     "check_blow_up",
@@ -60,26 +58,25 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class InitialData:
-    """Initial vertex/edge data described symbolically; realized by init_state.
+    """Initial data as arrays, realized on a window by ``init_state``: vertex
+    densities ``rho_values`` from vertex ``j_min`` on and 0 elsewhere, or 1
+    left of them when ``left_filled``; edges zero, flat (one level per edge
+    from ``j_min`` on, ``edge_values``) or stationary-consistent (``edge_mode``).
 
-    Kinds: ``left_block`` (vertices 1 for j <= 0, empty edges), ``sine_bump``
-    (one sine arch over n vertices with stationary-consistent edges),
-    ``point_mass`` (a single loaded vertex), and ``custom`` (explicit vertex
-    array, with zero, flat per-edge, or stationary-consistent edges).
+    Constructors: ``left_block`` (1 for j <= 0, empty edges), ``sine_bump``
+    (one sine arch over vertices 1..n, stationary edges), ``point_mass`` (one
+    loaded vertex) and ``custom`` (explicit vertex array, any edge mode).
     """
 
-    kind: str
-    n: int = 0
-    amplitude: float = 1.0
-    j0: int = 0
-    rho_values: np.ndarray | None = None
-    rho_j_min: int = 0
+    rho_values: np.ndarray
+    j_min: int = 0
     edge_mode: str = "zero"  # zero | stationary | flat
     edge_values: np.ndarray | None = None
+    left_filled: bool = False
 
     @classmethod
     def left_block(cls) -> "InitialData":
-        return cls(kind="left_block")
+        return cls(np.array([1.0]), 0, left_filled=True)
 
     @classmethod
     def sine_bump(cls, n: int, amplitude: float = 1.0) -> "InitialData":
@@ -87,13 +84,14 @@ class InitialData:
             raise ValueError("sine bump needs n >= 1")
         if amplitude <= 0:
             raise ValueError("sine bump needs a positive amplitude")
-        return cls(kind="sine_bump", n=n, amplitude=amplitude, edge_mode="stationary")
+        arch = amplitude * np.sin(np.arange(1, n + 1) * math.pi / (n + 1))
+        return cls(arch, 1, edge_mode="stationary")
 
     @classmethod
     def point_mass(cls, j0: int, amplitude: float) -> "InitialData":
         if amplitude <= 0:
             raise ValueError("rejecting trivial data: point mass needs amplitude > 0")
-        return cls(kind="point_mass", j0=j0, amplitude=amplitude)
+        return cls(np.array([float(amplitude)]), j0)
 
     @classmethod
     def custom(cls, rho_values, j_min: int = 0, edge_mode: str = "zero",
@@ -116,26 +114,16 @@ class InitialData:
                 raise ValueError("need one flat edge value per edge")
             if not np.all(np.isfinite(ev)) or np.any(ev < 0):
                 raise ValueError("edge values must be finite and nonnegative")
-        return cls(kind="custom", rho_values=rho, rho_j_min=j_min,
-                   edge_mode=edge_mode, edge_values=ev)
+        return cls(rho, j_min, edge_mode, ev)
 
     def support(self) -> tuple[int, int]:
-        """Vertex index range carrying data (left_block extends to -inf and
-        reports its right end twice)."""
-        if self.kind == "left_block":
-            return (0, 0)
-        if self.kind == "sine_bump":
-            return (1, self.n)
-        if self.kind == "point_mass":
-            return (self.j0, self.j0)
+        """First and last vertex of ``rho_values`` that is nonzero, or of all
+        of them when none is (data on the edges only).  A left-filled block
+        extends to -inf and reports its right end twice."""
         nz = np.nonzero(self.rho_values)[0]
         if len(nz) == 0:
-            return (self.rho_j_min, self.rho_j_min + len(self.rho_values) - 1)
-        return (self.rho_j_min + int(nz[0]), self.rho_j_min + int(nz[-1]))
-
-    @property
-    def occupies_left_boundary(self) -> bool:
-        return self.kind == "left_block"
+            return (self.j_min, self.j_min + len(self.rho_values) - 1)
+        return (self.j_min + int(nz[0]), self.j_min + int(nz[-1]))
 
 
 @dataclass(frozen=True)
@@ -175,8 +163,6 @@ class Trajectory:
 
     snapshots: tuple
     mass: np.ndarray
-    config: SimulationConfig
-    params: Parameters
     contaminated: bool
     compat_max_residual: float
 
@@ -187,17 +173,6 @@ class Trajectory:
     @property
     def final(self):
         return self.snapshots[-1]
-
-
-class CompatibilityReport(NamedTuple):
-    left: np.ndarray
-    right: np.ndarray
-
-    @property
-    def max_residual(self) -> float:
-        if len(self.left) == 0:
-            return 0.0
-        return float(max(np.max(np.abs(self.left)), np.max(np.abs(self.right))))
 
 
 def stiffness_dt_cap(p: Parameters) -> float:
@@ -219,40 +194,31 @@ def default_c_upper(p: Parameters, c_star: float | None = None) -> float:
 def init_state(data: InitialData, cfg: SimulationConfig, p: Parameters) -> LatticeState:
     """Realize initial data on a window covering its support plus
     ceil(c_upper * T) + margin vertices on each side."""
-    p.require_unit_length()
     c_up = cfg.c_upper_guess if cfg.c_upper_guess is not None else default_c_upper(p)
     reach = math.ceil(c_up * cfg.T) + cfg.window_margin
     lo, hi = data.support()
     j_min, j_max = lo - reach, hi + reach
     n_v = j_max - j_min + 1
-    js = np.arange(j_min, j_max + 1)
+    k0 = data.j_min - j_min
     rho = np.zeros(n_v)
-    if data.kind == "left_block":
-        rho[js <= 0] = 1.0
-    elif data.kind == "sine_bump":
-        inside = (js >= 1) & (js <= data.n)
-        rho[inside] = data.amplitude * np.sin(js[inside] * math.pi / (data.n + 1))
-    elif data.kind == "point_mass":
-        rho[js == data.j0] = data.amplitude
-    else:
-        k0 = data.rho_j_min - j_min
-        rho[k0 : k0 + len(data.rho_values)] = data.rho_values
+    rho[k0 : k0 + len(data.rho_values)] = data.rho_values
+    if data.left_filled:
+        rho[:k0] = 1.0
     if not np.all(np.isfinite(rho)) or np.any(rho < 0):
         raise ValueError("initial vertex data must be finite and nonnegative")
     edges = np.zeros((n_v - 1, cfg.m + 1))
     if data.edge_mode == "stationary":
         edges = sample_linear_profiles(stationary_from_rho(rho, p), cfg.m)
     elif data.edge_mode == "flat":
-        k0 = data.rho_j_min - j_min
         edges[k0 : k0 + len(data.edge_values)] = data.edge_values[:, None]
     if not np.any(rho > 0) and not np.any(edges > 0):
         raise ValueError("rejecting trivial data")
     return LatticeState(j_min, j_max, rho, edges, 0.0)
 
 
-def compatibility_residuals(state: LatticeState, p: Parameters) -> CompatibilityReport:
-    """Residuals of the Robin compatibility relations at t = 0, one pair per
-    edge: -d h'(0) + alpha h(0) - beta rho_j and d h'(1) + alpha h(1)
+def compatibility_residual(state: LatticeState, p: Parameters) -> float:
+    """Largest residual of the Robin compatibility relations at t = 0 over
+    all edges: -d h'(0) + alpha h(0) - beta rho_j and d h'(1) + alpha h(1)
     - beta rho_{j+1}.  Reported, never enforced: the dynamics smooth an
     incompatible start instantly and the standard block data violates it."""
     m = state.m
@@ -262,7 +228,7 @@ def compatibility_residuals(state: LatticeState, p: Parameters) -> Compatibility
     dr = (3.0 * h[:, -1] - 4.0 * h[:, -2] + h[:, -3]) / (2.0 * dx)
     left = -p.d * dl + p.alpha * h[:, 0] - p.beta * state.rho[:-1]
     right = p.d * dr + p.alpha * h[:, -1] - p.beta * state.rho[1:]
-    return CompatibilityReport(left, right)
+    return float(max(np.max(np.abs(left)), np.max(np.abs(right))))
 
 
 def check_dt(dt: float, p: Parameters) -> None:
@@ -287,7 +253,6 @@ def step_system(s: LatticeState, dt: float, p: Parameters) -> LatticeState:
     """Advance the full coupled system by one IMEX predictor-corrector step
     (``kernels.advance_lattice``), formally second order in dt, and check it
     against the blow-up threshold."""
-    p.require_unit_length()
     op = assemble_step_operator(s.m, dt, p)
     v, rho, _ = kernels.advance_lattice(
         s.edges, s.rho, 1, dt, p.alpha, p.beta, p.fprime0, op
@@ -318,7 +283,7 @@ def run_system(data: InitialData, cfg: SimulationConfig, p: Parameters, v, rho,
     rho_max0, v_max0 = float(np.max(rho)), float(np.max(v))
     rho_hi = max(rho_max0, 1.0) + _BOUND_TOL * max(1.0, rho_max0)
     v_hi = max(v_max0, p.beta / p.alpha) + _BOUND_TOL * max(1.0, v_max0)
-    check_left = not data.occupies_left_boundary
+    check_left = not data.left_filled
 
     snapshots = [snapshot(v, rho, 0.0)]
     series = [mass(snapshots[0])]
@@ -349,8 +314,6 @@ def run_system(data: InitialData, cfg: SimulationConfig, p: Parameters, v, rho,
     return Trajectory(
         snapshots=tuple(snapshots),
         mass=np.array(series),
-        config=cfg,
-        params=p,
         contaminated=contaminated,
         compat_max_residual=compat,
     )
@@ -360,7 +323,6 @@ def simulate(data: InitialData, cfg: SimulationConfig, p: Parameters,
              on_snapshot=None) -> Trajectory:
     """Run the coupled system to time T: ``run_system`` with the IMEX step,
     looked up on ``kernels`` at each call; ``on_snapshot`` is passed on."""
-    p.require_unit_length()
     s0 = init_state(data, cfg, p)
     op = assemble_step_operator(cfg.m, cfg.dt, p)
     return run_system(
@@ -368,7 +330,7 @@ def simulate(data: InitialData, cfg: SimulationConfig, p: Parameters,
         lambda v, rho, n: kernels.advance_lattice(
             v, rho, n, cfg.dt, p.alpha, p.beta, p.fprime0, op),
         lambda v, rho, t: LatticeState(s0.j_min, s0.j_max, rho, v, t),
-        total_mass, compat=compatibility_residuals(s0, p).max_residual,
+        total_mass, compat=compatibility_residual(s0, p),
         on_snapshot=on_snapshot,
     )
 

@@ -8,9 +8,11 @@ conditions
      d v_j'(1) + alpha v_j(1) = beta rho_{j+1},
 
 while each city follows rho_j' = f(rho_j) + alpha (v_j(0) + v_{j-1}(1))
-- 2 beta rho_j with a KPP reaction f.  This module holds the parameter and
-state containers, the unit-length rescaling, the mass functional, and the
-closed-form algebra of stationary states.
+- 2 beta rho_j with a KPP reaction f.  All roads have one length ell, which
+scales out exactly (alpha -> alpha/ell, d -> d/ell^2, v -> ell v), so
+``Parameters`` describe the unit-length lattice.  This module holds the
+parameter and state containers, the unit-length rescaling, the mass
+functional, and the closed-form algebra of stationary states.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "Parameters",
     "EdgeGrid",
     "LatticeState",
-    "RescaledParameters",
     "rescale_to_unit_length",
     "total_mass",
     "StationaryProfiles",
@@ -70,17 +71,17 @@ def logistic(rate: float) -> NonlinearityDescriptor:
 
 @dataclass(frozen=True)
 class Parameters:
-    """Model constants: exchange rates alpha (road->city) and beta (city->road),
-    edge diffusivity d, edge length ell, and the reaction descriptor."""
+    """Model constants of the unit-length lattice: exchange rates alpha
+    (road->city) and beta (city->road), edge diffusivity d, and the reaction
+    descriptor."""
 
     alpha: float
     beta: float
     d: float
-    ell: float = 1.0
     nonlinearity: NonlinearityDescriptor = field(default_factory=lambda: logistic(1.0))
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "d", "ell"):
+        for name in ("alpha", "beta", "d"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {val}")
@@ -92,28 +93,16 @@ class Parameters:
     def f(self, u):
         return self.nonlinearity(u)
 
-    def require_unit_length(self):
-        if self.ell != 1.0:
-            raise ValueError("parameters must be rescaled to unit edge length first")
 
-
-class RescaledParameters(NamedTuple):
-    params: Parameters
-    edge_density_scale: float
-
-
-def rescale_to_unit_length(p: Parameters) -> RescaledParameters:
-    """Normalize to edge length 1: d' = d/ell^2, alpha' = alpha/ell, beta unchanged.
-
-    Edge densities transform as v~ = ell * v; the returned scale factor is the
-    original ell so callers can convert sampled edge data.  Idempotent once
-    ell == 1.
-    """
-    ell = p.ell
+def rescale_to_unit_length(p: Parameters, ell: float) -> Parameters:
+    """The unit-length model of roads of length ell with constants ``p``:
+    alpha/ell and d/ell^2, beta and the reaction unchanged (``p`` itself at
+    ell == 1).  Its edge densities are ell times those of the original."""
+    if not (math.isfinite(ell) and ell > 0):
+        raise ValueError(f"ell must be finite and > 0, got {ell}")
     if ell == 1.0:
-        return RescaledParameters(p, 1.0)
-    scaled = replace(p, alpha=p.alpha / ell, d=p.d / ell**2, ell=1.0)
-    return RescaledParameters(scaled, ell)
+        return p
+    return replace(p, alpha=p.alpha / ell, d=p.d / ell**2)
 
 
 @dataclass(frozen=True)
@@ -223,7 +212,6 @@ def stationary_from_rho(rho, p: Parameters) -> StationaryProfiles:
 
     which satisfies both Robin endpoint conditions exactly.
     """
-    p.require_unit_length()
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 1 or len(rho) < 2:
         raise ValueError("need at least two vertex densities")

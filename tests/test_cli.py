@@ -1,6 +1,5 @@
 import math
 import multiprocessing
-import os
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -9,9 +8,13 @@ import numpy as np
 import pytest
 
 from cityroad import cli, csvout, kernels
+from cityroad.asymptotic import compute_c_star_inf
 from cityroad.cli import ConfigError, main, parse_config
+from cityroad.csvout import fmt
+from cityroad.dispersion import compute_c_star
 from cityroad.front_speed import NoCrossingError
 from cityroad.lattice_sim import BlowUpError
+from cityroad.model import Parameters
 
 
 def write(tmp_path, text):
@@ -63,17 +66,19 @@ class TestParseConfig:
             parse_config(path)
 
 
-def run_cli(args, tmp_path, extra_env=None):
-    """Run ``python -m cityroad.cli`` in ``tmp_path``; callers need ``package_on_pythonpath``."""
-    env = dict(os.environ)
-    env["CITYROAD_OUTDIR"] = str(tmp_path / "out")
-    if extra_env:
-        env.update(extra_env)
-    proc = subprocess.run(
+def outdir_arg(path):
+    return ["--set", f"output.dir={path}"]
+
+
+def run_cli(args, tmp_path):
+    """Run ``python -m cityroad.cli`` in ``tmp_path`` with output in
+    ``tmp_path / "out"``; callers need ``package_on_pythonpath``."""
+    if args[0] != "verify":
+        args = [*args, *outdir_arg(tmp_path / "out")]
+    return subprocess.run(
         [sys.executable, "-m", "cityroad.cli", *args],
-        capture_output=True, text=True, env=env, cwd=str(tmp_path),
+        capture_output=True, text=True, cwd=str(tmp_path),
     )
-    return proc
 
 
 def assert_one_line_error(proc, fragment):
@@ -183,11 +188,10 @@ class TestCommands:
             assert float(rows[0][3]) > 0 and rows[1][3:5] == ["nan", "nan"]
             assert "fprime0=0.01 status=NoCrossingError" in proc.stdout.splitlines()
 
-    def test_simulate_default_run_invades_center(self, tmp_path, monkeypatch, capsys):
+    def test_simulate_default_run_invades_center(self, tmp_path, capsys):
         # default config: left block, T=50; by then the front is well past the
         # central sites, so the final density there sits within 0.02 of 1
-        monkeypatch.setenv("CITYROAD_OUTDIR", str(tmp_path / "out"))
-        assert main(["simulate"]) == 0
+        assert main(["simulate", *outdir_arg(tmp_path / "out")]) == 0
         capsys.readouterr()
         lines = (tmp_path / "out" / "trajectory_rho.csv").read_text().splitlines()[1:]
         rows = [line.split(",") for line in lines]
@@ -242,8 +246,7 @@ class TestCommands:
             raise RuntimeError("tangency residual |dPsi/dmu| = 1.000e-07 exceeds 1e-8")
 
         monkeypatch.setattr(cli, "compute_c_star_inf", fail)
-        monkeypatch.setenv("CITYROAD_OUTDIR", str(tmp_path / "out"))
-        assert main(["asymptotic", "--set", "simulation.T=5"]) == 4
+        assert main(["asymptotic", "--set", "simulation.T=5", *outdir_arg(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
         assert err == "error: tangency residual |dPsi/dmu| = 1.000e-07 exceeds 1e-8\n"
 
@@ -271,19 +274,46 @@ class TestCommands:
         assert err.splitlines() == [err.strip()]
         assert err.startswith("error: --only takes criterion numbers 1-12, got ")
 
-    def test_asymptotic_reaction_free_reports_contamination(self, tmp_path, monkeypatch,
-                                                              capsys):
-        monkeypatch.setenv("CITYROAD_OUTDIR", str(tmp_path / "out"))
+    def test_asymptotic_reaction_free_reports_contamination(self, tmp_path, capsys):
         code = main(["asymptotic", "--set", "parameters.fprime0=0",
-                     "--set", "simulation.T=2", "--set", "simulation.dt=0.01"])
+                     "--set", "simulation.T=2", "--set", "simulation.dt=0.01",
+                     *outdir_arg(tmp_path / "out")])
         flags = [l for l in capsys.readouterr().out.splitlines() if l.startswith("contaminated=")]
         assert flags == [f"contaminated={str(code == 1).lower()}"]
 
-    def test_main_entry_in_process(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CITYROAD_OUTDIR", str(tmp_path / "out2"))
-        code = main(["speed"])
+    def test_main_entry_in_process(self, tmp_path, capsys):
+        code = main(["speed", *outdir_arg(tmp_path / "out2")])
         assert code == 0
         assert "c_star=" in capsys.readouterr().out
+
+    def test_speed_scales_out_edge_length(self, tmp_path, capsys):
+        # roads of length 2 at alpha = 2, d = 8 are the unit lattice at
+        # alpha = 1, d = 2: both speeds are that model's, to the last digit
+        assert main(["speed", "--set", "parameters.alpha=2", "--set", "parameters.d=8",
+                     "--set", "parameters.ell=2", *outdir_arg(tmp_path / "out")]) == 0
+        fields = dict(kv.split("=") for kv in capsys.readouterr().out.split()
+                      if "=" in kv)
+        unit = Parameters(1.0, 1.0, 2.0)
+        assert fields["c_star"] == fmt(compute_c_star(unit).c_star)
+        assert fields["c_star_inf"] == fmt(compute_c_star_inf(unit).c_star_inf)
+
+    @pytest.mark.parametrize("command", ["simulate", "asymptotic"])
+    def test_window_too_large_is_one_line_error(self, command, tmp_path):
+        # T = 1e12 asks for a 13 TiB vertex array, which is refused before any
+        # of it is touched; the address-space cap keeps it that way on a host
+        # that overcommits memory
+        code = ("import resource, runpy; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 32, 1 << 32)); "
+                "runpy.run_module('cityroad.cli', run_name='__main__')")
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, command, "--set", "simulation.T=1e12",
+             *outdir_arg(out)],
+            capture_output=True, text=True, cwd=str(tmp_path),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert_one_line_error(proc, "Unable to allocate")
+        assert list(out.iterdir()) == []
 
 
 class TestExitCodes:
@@ -299,8 +329,7 @@ class TestExitCodes:
             raise exc
 
         monkeypatch.setattr(cli, "simulate", fail)
-        monkeypatch.setenv("CITYROAD_OUTDIR", str(tmp_path / "out"))
-        assert main(["simulate"]) == code
+        assert main(["simulate", *outdir_arg(tmp_path / "out")]) == code
         err = capsys.readouterr().err
         assert err == "error: " + " ".join(str(exc).split()) + "\n"
 
@@ -361,8 +390,7 @@ class TestTrajectoryWriter:
 
         monkeypatch.setattr(cli, name, spy)
         out = tmp_path / "out"
-        monkeypatch.setenv("CITYROAD_OUTDIR", str(out))
-        assert main(argv) == 0, capsys.readouterr().err
+        assert main([*argv, *outdir_arg(out)]) == 0, capsys.readouterr().err
         assert multiprocessing.active_children() == []
         assert not list(out.glob("*.part"))
         (traj,) = runs
@@ -395,18 +423,16 @@ class TestTrajectoryWriter:
 
         monkeypatch.setattr(kernels, kernel, failing)
         out = tmp_path / "out"
-        monkeypatch.setenv("CITYROAD_OUTDIR", str(out))
-        assert main(argv) == code
+        assert main([*argv, *outdir_arg(out)]) == code
         assert capsys.readouterr().err == f"error: {exc}\n"
         assert list(out.iterdir()) == []  # no trajectory CSV, no .part file
         assert multiprocessing.active_children() == []
 
-    def test_writer_failure_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+    def test_writer_failure_is_one_error_line(self, tmp_path, capsys):
         # a directory in the way of one .part file stops the writer
         out = tmp_path / "out"
         (out / "trajectory_edge.csv.part").mkdir(parents=True)
-        monkeypatch.setenv("CITYROAD_OUTDIR", str(out))
-        assert main(SIMULATE) == 2
+        assert main([*SIMULATE, *outdir_arg(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: trajectory writer failed: IsADirectoryError: ")
@@ -425,7 +451,6 @@ class TestOutputDirectory:
         for name in ("compute_c_star", "compute_c_star_inf", "simulate",
                      "simulate_asymptotic"):
             monkeypatch.setattr(cli, name, unexpected)
-        monkeypatch.delenv("CITYROAD_OUTDIR", raising=False)
         blocker = tmp_path / "file"
         blocker.write_text("")
         argv = [command, "--set", f"output.dir={blocker / 'sub'}", "--set", "simulation.T=1",

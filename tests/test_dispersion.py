@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cityroad import dispersion
 from cityroad.dispersion import (
     _eval_arrays,
     _g_minus_G,
@@ -112,6 +113,20 @@ class TestLambda0:
         assert lam0 == pytest.approx(mp_threshold(1.0, 1.0, 1e-7, 1.0, lam0), rel=1e-12)
         _, y, _, _ = _eval_arrays(lam0 * np.array([1.0 - 1e-12, 1.0 + 1e-12]), p)
         assert y[0] < 1.0 < y[1]
+
+    def test_steep_threshold_needs_sign_change_of_g_minus_G(self, monkeypatch):
+        # at d = 1e-7 |y(lambda0) - 1| stays far above 1e-10, so the
+        # post-check evaluates g - G at the final bracket ends (the one call
+        # on two points); where it does not change sign the check must fail
+        p = params(d=1e-7)
+        real = _g_minus_G
+
+        def no_sign_change(lam, p):
+            return np.ones(2) if np.size(lam) == 2 else real(lam, p)
+
+        monkeypatch.setattr(dispersion, "_g_minus_G", no_sign_change)
+        with pytest.raises(RuntimeError, match="threshold post-check failed"):
+            find_lambda0(p)
 
     def test_threshold_vanishes_with_reaction(self):
         lams = [find_lambda0(params(fprime0=f0)) for f0 in (1e-2, 1e-3, 1e-4)]

@@ -12,7 +12,7 @@ from cityroad.front_speed import (
     loglog_fit,
     outer_occupancy,
 )
-from cityroad.lattice_sim import SimulationConfig, Trajectory
+from cityroad.lattice_sim import Trajectory
 
 
 @dataclass
@@ -79,23 +79,6 @@ class TestEstimateSpeed:
         with pytest.raises(ValueError):
             estimate_speed(traj, 0.5, (0.9, 1.0))
 
-    def test_left_direction_mirrors(self):
-        # leftward invasion: occupied on the right, front coordinate 2 - 1.5 t
-        js = np.arange(-110, 30)
-        snaps = []
-        for t in np.linspace(0.0, 40.0, 41):
-            front = 2.0 - 1.5 * t
-            dens = np.clip(js - front, 0.0, 1.0)
-            snaps.append(FakeSnapshot(t, -110, dens))
-        traj = FakeTrajectory(tuple(snaps))
-        trace = estimate_speed(traj, 0.5, (0.5, 1.0), direction="left")
-        assert trace.fitted_speed == pytest.approx(-1.5, abs=1e-10)
-
-    def test_unknown_direction_rejected(self):
-        traj = synthetic_trajectory(speed=1.0)
-        with pytest.raises(ValueError, match="direction"):
-            estimate_speed(traj, 0.5, (0.5, 1.0), direction="up")
-
     def test_measured_vs_theory(self, left_block_run, c_star_unit):
         trace = estimate_speed(left_block_run, 0.5, (30 / 80, 60 / 80))
         rel = abs(trace.fitted_speed - c_star_unit.c_star) / c_star_unit.c_star
@@ -122,12 +105,25 @@ class TestDichotomyChecks:
         assert inner_deficit(left_block_run, params_unit, c, factor=0.8) <= 0.05
 
     def test_outer_occupancy_side_choice(self, left_block_run):
-        # the block data occupies the left half-line, so auto mode scans only
-        # the front side; forcing both sides picks up the invaded state
-        auto = outer_occupancy(left_block_run, 0.6, factor=1.2, sides="auto")
-        both = outer_occupancy(left_block_run, 0.6, factor=1.2, sides="both")
-        assert auto < 1e-3
-        assert both > 0.9
+        # the block data occupies the left half-line, so only the front side
+        # is scanned
+        assert outer_occupancy(left_block_run, 0.6, factor=1.2) < 1e-3
+
+    def test_outer_occupancy_skips_side_that_started_occupied(self):
+        # hand-built run on j = -10..10 at t = 10, speed 0.5 (outer cutoff 6):
+        # the invaded state fills j <= 0 throughout, and 0.25 sits at j = 8
+        js = np.arange(-10, 11)
+        P = np.where(js <= 0, 1.0, 0.0)
+        P_final = P.copy()
+        P_final[18] = 0.25
+        final = AsymptoticState(-10, 10, np.zeros(20), P_final, 10.0)
+        started_left = Trajectory((AsymptoticState(-10, 10, np.zeros(20), P, 0.0), final),
+                                  np.zeros(2), False, 0.0)
+        assert outer_occupancy(started_left, 0.5, factor=1.2) == 0.25
+        # the same final state from a start empty at both ends: both sides scanned
+        started_empty = Trajectory((AsymptoticState(-10, 10, np.zeros(20), np.zeros(21), 0.0),
+                                    final), np.zeros(2), False, 0.0)
+        assert outer_occupancy(started_empty, 0.5, factor=1.2) == 1.0
 
     def test_limit_trajectory_edges_come_from_V(self, params_unit):
         # hand-built limit run on j = -10..10 at t = 10, speed 0.5: the
@@ -142,8 +138,7 @@ class TestDichotomyChecks:
         snaps = (AsymptoticState(-10, 10, np.zeros(20), np.zeros(21), 0.0),
                  AsymptoticState(-10, 10, V, P, 10.0))
         assert snaps[1].edges.shape == (20, 1)
-        traj = Trajectory(snaps, np.zeros(2), SimulationConfig(T=10.0, dt=0.01), params_unit,
-                          False, 0.0)
+        traj = Trajectory(snaps, np.zeros(2), False, 0.0)
         assert outer_occupancy(traj, 0.5, factor=1.2) == 0.25
         assert inner_deficit(traj, params_unit, 0.5, factor=0.8) == pytest.approx(0.3, abs=1e-15)
 

@@ -11,7 +11,7 @@ from cityroad.lattice_sim import (
     SimulationConfig,
     Trajectory,
     check_long_time_convergence,
-    compatibility_residuals,
+    compatibility_residual,
     init_state,
     simulate,
     step_system,
@@ -87,12 +87,91 @@ class TestInitState:
     def test_compatibility_reported_not_enforced(self, p):
         cfg = SimulationConfig(T=1.0, dt=1e-3, m=8, c_upper_guess=1.0)
         s = init_state(InitialData.left_block(), cfg, p)
-        rep = compatibility_residuals(s, p)
         # block data with empty edges violates the condition by exactly beta*rho
-        assert rep.max_residual == pytest.approx(p.beta, rel=1e-12)
+        assert compatibility_residual(s, p) == pytest.approx(p.beta, rel=1e-12)
         s2 = init_state(InitialData.sine_bump(5), cfg, p)
-        rep2 = compatibility_residuals(s2, p)
-        assert rep2.max_residual <= 1e-10  # stationary edges satisfy it
+        assert compatibility_residual(s2, p) <= 1e-10  # stationary edges satisfy it
+
+
+def hand_window(j_min, j_max, values):
+    """Vertex array on j_min..j_max that is 0 except ``values`` ({j: rho})."""
+    rho = np.zeros(j_max - j_min + 1)
+    for j, v in values.items():
+        rho[j - j_min] = v
+    return rho
+
+
+class TestInitialDataArrays:
+    """Each constructor realizes the window one builds by hand: its support
+    widened by ceil(c_upper T) + margin = 2 + 4 vertices on each side."""
+
+    CFG = SimulationConfig(T=2.0, dt=1e-3, m=4, c_upper_guess=1.0)
+
+    def realize(self, data, p):
+        s = init_state(data, self.CFG, p)
+        return s.j_min, s.j_max, s.rho, s.edges
+
+    def test_left_block(self, p):
+        data = InitialData.left_block()
+        assert data.support() == (0, 0)
+        j_min, j_max, rho, edges = self.realize(data, p)
+        assert (j_min, j_max) == (-6, 6)
+        np.testing.assert_array_equal(rho, hand_window(-6, 6, {j: 1.0 for j in range(-6, 1)}))
+        np.testing.assert_array_equal(edges, np.zeros((12, 5)))
+
+    def test_sine_bump(self, p):
+        data = InitialData.sine_bump(3, 0.5)
+        assert data.support() == (1, 3)
+        j_min, j_max, rho, edges = self.realize(data, p)
+        assert (j_min, j_max) == (-5, 9)
+        arch = 0.5 * np.sin(np.array([1, 2, 3]) * math.pi / 4)
+        want = hand_window(-5, 9, dict(zip((1, 2, 3), arch)))
+        np.testing.assert_array_equal(rho, want)
+        np.testing.assert_array_equal(
+            edges, sample_linear_profiles(stationary_from_rho(want, p), 4))
+
+    def test_point_mass(self, p):
+        data = InitialData.point_mass(3, 0.5)
+        assert data.support() == (3, 3)
+        j_min, j_max, rho, edges = self.realize(data, p)
+        assert (j_min, j_max) == (-3, 9)
+        np.testing.assert_array_equal(rho, hand_window(-3, 9, {3: 0.5}))
+        np.testing.assert_array_equal(edges, np.zeros((12, 5)))
+
+    def test_custom_flat(self, p):
+        data = InitialData.custom([0.2, 0.0, 0.4], j_min=-1, edge_mode="flat",
+                                  edge_values=[0.1, 0.3])
+        assert data.support() == (-1, 1)
+        j_min, j_max, rho, edges = self.realize(data, p)
+        assert (j_min, j_max) == (-7, 7)
+        np.testing.assert_array_equal(rho, hand_window(-7, 7, {-1: 0.2, 1: 0.4}))
+        want = np.zeros((14, 5))
+        want[6], want[7] = 0.1, 0.3  # the edges (-1, 0) and (0, 1)
+        np.testing.assert_array_equal(edges, want)
+
+    def test_custom_stationary(self, p):
+        data = InitialData.custom([0.3, 0.6], j_min=2, edge_mode="stationary")
+        assert data.support() == (2, 3)
+        j_min, j_max, rho, edges = self.realize(data, p)
+        assert (j_min, j_max) == (-4, 9)
+        want = hand_window(-4, 9, {2: 0.3, 3: 0.6})
+        np.testing.assert_array_equal(rho, want)
+        np.testing.assert_array_equal(
+            edges, sample_linear_profiles(stationary_from_rho(want, p), 4))
+
+    def test_support_of_sparse_and_edge_only_data(self, p):
+        sparse = InitialData.custom([0.0, 0.2, 0.0, 0.4, 0.0], j_min=-2)
+        assert sparse.support() == (-1, 1)
+        # no vertex carries mass: the support is the whole vertex array
+        edge_only = InitialData.custom([0.0, 0.0, 0.0], j_min=4, edge_mode="flat",
+                                       edge_values=[0.5, 0.0])
+        assert edge_only.support() == (4, 6)
+        j_min, j_max, rho, edges = self.realize(edge_only, p)
+        assert (j_min, j_max) == (-2, 12)
+        np.testing.assert_array_equal(rho, np.zeros(15))
+        want = np.zeros((14, 5))
+        want[6] = 0.5  # the edge (4, 5)
+        np.testing.assert_array_equal(edges, want)
 
 
 class TestStepSystem:

@@ -25,40 +25,30 @@ def make_state(rho, m=8, p=None, edges=None):
 
 class TestRescale:
     def test_length_two_rescaling(self):
-        p = Parameters(2.0, 1.0, 8.0, ell=2.0)
-        scaled, factor = rescale_to_unit_length(p)
-        assert scaled.alpha == 1.0
-        assert scaled.beta == 1.0
-        assert scaled.d == 2.0
-        assert scaled.ell == 1.0
-        assert factor == 2.0
+        p = Parameters(2.0, 1.0, 8.0, nonlinearity=logistic(3.0))
+        scaled = rescale_to_unit_length(p, 2.0)
+        assert (scaled.alpha, scaled.beta, scaled.d, scaled.fprime0) == (1.0, 1.0, 2.0, 3.0)
 
     def test_identity(self):
         p = Parameters(1.0, 1.0, 1.0)
-        scaled, factor = rescale_to_unit_length(p)
-        assert scaled is p
-        assert factor == 1.0
+        assert rescale_to_unit_length(p, 1.0) is p
 
     def test_direct_substitution(self):
-        p = Parameters(0.5, 3.0, 0.25, ell=0.5)
-        scaled, factor = rescale_to_unit_length(p)
-        assert scaled.alpha == pytest.approx(1.0, abs=0)
-        assert scaled.beta == 3.0
-        assert scaled.d == pytest.approx(1.0, abs=0)
-        assert factor == 0.5
+        scaled = rescale_to_unit_length(Parameters(0.5, 3.0, 0.25), 0.5)
+        assert (scaled.alpha, scaled.beta, scaled.d) == (1.0, 3.0, 1.0)
 
     def test_idempotent(self):
-        p = Parameters(0.5, 3.0, 0.25, ell=0.5)
-        once, _ = rescale_to_unit_length(p)
-        twice, factor = rescale_to_unit_length(once)
-        assert twice is once
-        assert factor == 1.0
+        once = rescale_to_unit_length(Parameters(0.5, 3.0, 0.25), 0.5)
+        assert rescale_to_unit_length(once, 1.0) is once
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             Parameters(-1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             Parameters(1.0, 1.0, 0.0)
+        for ell in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="ell must be finite and > 0"):
+                rescale_to_unit_length(Parameters(1.0, 1.0, 1.0), ell)
 
 
 class TestNonlinearity:
