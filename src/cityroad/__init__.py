@@ -8,7 +8,6 @@ limit, computes the predicted speeds, and measures realized fronts.
 """
 
 from .model import (
-    EdgeGrid,
     LatticeState,
     NonlinearityDescriptor,
     Parameters,
@@ -19,18 +18,15 @@ from .model import (
     total_mass,
 )
 from .edge_solver import (
-    RobinStepInput,
     assemble_step_operator,
     integral_representation_oracle,
     manufactured_solution_error,
-    step_edge,
 )
 from .lattice_sim import (
     BlowUpError,
     InitialData,
     SimulationConfig,
     Trajectory,
-    check_long_time_convergence,
     compatibility_residual,
     init_state,
     run_system,

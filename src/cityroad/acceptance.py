@@ -24,11 +24,9 @@ from .asymptotic import (
 )
 from .dispersion import compute_c_star, dispersion_eval, exponential_ansatz_residual
 from .edge_solver import (
-    EdgeGrid,
-    RobinStepInput,
+    assemble_step_operator,
     integral_representation_oracle,
     manufactured_solution_error,
-    step_edge,
 )
 from .front_speed import estimate_speed, inner_deficit, outer_occupancy
 from .lattice_sim import (
@@ -262,8 +260,8 @@ def criterion_11_comparison_principle():
     worst_neg = 0.0
     for _ in range(20):
         lower, upper = _random_ordered_pair(rng)
-        data_lo = InitialData.custom(lower, j_min=-5, edge_mode="stationary")
-        data_hi = InitialData.custom(upper, j_min=-5, edge_mode="stationary")
+        data_lo = InitialData.custom(lower, j_min=-5, stationary_edges=True)
+        data_hi = InitialData.custom(upper, j_min=-5, stationary_edges=True)
         for run, cfg in ((simulate, cfg_full), (simulate_asymptotic, cfg_asym)):
             for a, b in zip(run(data_lo, cfg, p).snapshots, run(data_hi, cfg, p).snapshots):
                 worst_order = max(worst_order, float(np.max(a.densities - b.densities)),
@@ -293,15 +291,12 @@ def criterion_12_oracle_agreement():
     h_fun = lambda t: h0 * (1.0 + 0.3 * np.sin(2.0 * t))
     m, dt, T = 64, 2.5e-4, 0.1
     grid = np.arange(m + 1) / m
-    edge = EdgeGrid(v0(grid))
+    op = assemble_step_operator(m, dt, p)
+    values = v0(grid)
     t = 0.0
     for _ in range(round(T / dt)):
-        edge = step_edge(RobinStepInput(
-            edge,
-            (float(g_fun(t)), float(g_fun(t + dt))),
-            (float(h_fun(t)), float(h_fun(t + dt))),
-            dt, p,
-        ))
+        values = op.apply(values, 0.5 * (float(g_fun(t)) + float(g_fun(t + dt))),
+                          0.5 * (float(h_fun(t)) + float(h_fun(t + dt))))
         t += dt
     ts = np.arange(513) * (T / 512)
     gv, hv = g_fun(ts), h_fun(ts)
@@ -309,7 +304,7 @@ def criterion_12_oracle_agreement():
     details = []
     for x in (0.0, 0.25, 0.5, 1.0):
         oracle = integral_representation_oracle(v0, gv, hv, T, x, p)
-        cn = float(np.interp(x, grid, edge.values))
+        cn = float(np.interp(x, grid, values))
         diff = abs(oracle - cn)
         worst = max(worst, diff)
         details.append(f"x={x:g}:{diff:.1e}")

@@ -181,18 +181,17 @@ def simulate_asymptotic(data: InitialData, cfg: SimulationConfig, p: Parameters,
     the RK4 step, looked up on ``kernels`` at each call, and the mass V + P;
     ``on_snapshot`` is passed on.
 
-    Matched initialization: P from the vertex data, V from the edge means
-    (flat edges integrate to their level; stationary-consistent data uses the
-    limit relation V_j = beta/(2 alpha) (P_j + P_{j+1})).  The outflux is
-    integrated inside the RK4 stages, so the reaction-free total is conserved
-    to roundoff."""
+    Matched initialization: P from the vertex data; V from the limit
+    relation V_j = beta/(2 alpha) (P_j + P_{j+1}) when the edges are
+    stationary-consistent, else zero (the mean of the zero edges).  The
+    outflux is integrated inside the RK4 stages, so the reaction-free total
+    is conserved to roundoff."""
     s0 = init_state(data, cfg, p)
     P = s0.rho.copy()
-    if data.edge_mode == "stationary":
+    if data.stationary_edges:
         V = p.beta / (2.0 * p.alpha) * (P[:-1] + P[1:])
     else:
-        # trapezoid mean of the realized edge profiles (zero or flat)
-        V = s0.edges.mean(axis=1)
+        V = np.zeros(len(P) - 1)
     return run_system(
         data, cfg, p, V, P,
         lambda V, P, n: kernels.advance_asym(V, P, n, cfg.dt, p.alpha, p.beta, p.fprime0),

@@ -50,7 +50,7 @@ from .lattice_sim import (
 )
 from .model import Parameters, logistic, rescale_to_unit_length
 
-__all__ = ["ExperimentConfig", "parse_config", "run_command", "main"]
+__all__ = ["ExperimentConfig", "parse_config", "main"]
 
 # Error class -> exit code; the first match wins, so subclasses come first
 # (BlowUpError and NoCrossingError are RuntimeErrors, ConfigError a ValueError).
@@ -328,7 +328,7 @@ def _sweep_point(args):
         theory = compute_c_star(p).c_star
         traj = simulate(cfg.initial_data, _window_sized(cfg, p, theory), p)
         trace = estimate_speed(traj, cfg.threshold, cfg.window_fraction)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         return (name, value, theory, math.nan, math.nan, type(exc).__name__), False, exc
     rel = abs(trace.fitted_speed - theory) / theory
     return (name, value, theory, trace.fitted_speed, rel, "ok"), traj.contaminated, None

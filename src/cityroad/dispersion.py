@@ -188,8 +188,8 @@ def find_lambda0(p: Parameters) -> float:
     b = 1.0
     while _g_minus_G(b, p) <= 0.0:
         b *= 2.0
-        if b > 1e6:
-            raise RuntimeError("no dispersion threshold below 1e6: inadmissible parameters")
+        if not math.isfinite(b):
+            raise RuntimeError("no finite dispersion threshold: inadmissible parameters")
     while (b - a) > 1e-12 * max(1.0, 0.5 * (a + b)):
         a, b, _, _ = _zoom_sign_change(lambda lam: _g_minus_G(lam, p), a, b)
     # y - 1 equals (Delta / (2 alpha beta B)) (g - G) with a factor that grows

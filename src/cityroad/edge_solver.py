@@ -22,37 +22,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import EdgeGrid, Parameters
+from .model import Parameters
 
 __all__ = [
-    "RobinStepInput",
     "StepOperator",
     "assemble_step_operator",
-    "step_edge",
     "manufactured_solution_error",
     "manufactured_profile",
     "manufactured_loads",
     "integral_representation_oracle",
 ]
-
-
-@dataclass(frozen=True)
-class RobinStepInput:
-    """One edge plus its Robin data beta*rho at each end, sampled at the step
-    start and step end, and the step size."""
-
-    edge: EdgeGrid
-    g_left: tuple[float, float]
-    g_right: tuple[float, float]
-    dt: float
-    p: Parameters
-
-    def __post_init__(self):
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError("dt must be positive and finite")
-        for pair in (self.g_left, self.g_right):
-            if len(pair) != 2 or not all(math.isfinite(g) for g in pair):
-                raise ValueError("boundary data must be finite (start, end) pairs")
 
 
 @dataclass(frozen=True)
@@ -122,14 +101,6 @@ def assemble_step_operator(m: int, dt: float, p: Parameters) -> StepOperator:
     return _assemble_cached(m, float(dt), p.d, p.alpha)
 
 
-def step_edge(inp: RobinStepInput) -> EdgeGrid:
-    """One Crank-Nicolson step with time-averaged Robin loads."""
-    op = assemble_step_operator(inp.edge.m, inp.dt, inp.p)
-    gl = 0.5 * (inp.g_left[0] + inp.g_left[1])
-    gr = 0.5 * (inp.g_right[0] + inp.g_right[1])
-    return EdgeGrid(op.apply(inp.edge.values, gl, gr))
-
-
 def manufactured_profile(t: float, x, p: Parameters):
     """Exact Robin-compatible heat solution v(t, x) = exp(-d pi^2 t) cos(pi x)."""
     return math.exp(-p.d * math.pi**2 * t) * np.cos(math.pi * np.asarray(x))
@@ -149,19 +120,14 @@ def manufactured_solution_error(m: int, dt: float, T: float, p: Parameters) -> f
     if T > 0 and abs(nsteps * dt - T) > 1e-9 * T:
         raise ValueError("T must be an integer multiple of dt")
     x = np.arange(m + 1) / m
-    edge = EdgeGrid(manufactured_profile(0.0, x, p))
+    op = assemble_step_operator(m, dt, p)
+    values = manufactured_profile(0.0, x, p)
     t = 0.0
     for _ in range(nsteps):
-        inp = RobinStepInput(
-            edge,
-            g_left=(manufactured_loads(t, p)[0], manufactured_loads(t + dt, p)[0]),
-            g_right=(manufactured_loads(t, p)[1], manufactured_loads(t + dt, p)[1]),
-            dt=dt,
-            p=p,
-        )
-        edge = step_edge(inp)
+        (g0, h0), (g1, h1) = manufactured_loads(t, p), manufactured_loads(t + dt, p)
+        values = op.apply(values, 0.5 * (g0 + g1), 0.5 * (h0 + h1))
         t += dt
-    return float(np.max(np.abs(edge.values - manufactured_profile(t, x, p))))
+    return float(np.max(np.abs(values - manufactured_profile(t, x, p))))
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +203,11 @@ def _smooth_history_weights(n: int, dtau: float, values: np.ndarray) -> float:
 def integral_representation_oracle(h0, g, h, t: float, x: float, p: Parameters) -> float:
     """Evaluate the Robin heat solution at (t, x) from the representation formula.
 
-    h0 is the initial profile (callable on [0, 1] or an EdgeGrid, interpolated
-    linearly); g and h are samples of the boundary data on the uniform time
-    grid over [0, t] (arrays of equal length >= 2).  The two boundary traces
-    are recovered first by marching the collocated Volterra system, then the
-    formula is evaluated at (t, x).  This is a verification oracle, not a
-    production solver.
+    h0 is the initial profile, a callable on [0, 1]; g and h are samples of
+    the boundary data on the uniform time grid over [0, t] (arrays of equal
+    length >= 2).  The two boundary traces are recovered first by marching
+    the collocated Volterra system, then the formula is evaluated at (t, x).
+    This is a verification oracle, not a production solver.
     """
     if not (t > 0):
         raise ValueError("need t > 0")
@@ -256,19 +221,10 @@ def integral_representation_oracle(h0, g, h, t: float, x: float, p: Parameters) 
     dtau = t / n
     d, alpha = p.d, p.alpha
 
-    if isinstance(h0, EdgeGrid):
-        grid = h0
-        h0_fun = lambda y: np.interp(y, grid.x, grid.values)
-    elif callable(h0):
-        h0_fun = h0
-    else:
-        arr = np.asarray(h0, dtype=float)
-        h0_fun = lambda y: np.interp(y, np.linspace(0.0, 1.0, len(arr)), arr)
-
     nodes, wq = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     y = 0.5 * (nodes + 1.0)
     wq = 0.5 * wq
-    h0_vals = np.asarray(h0_fun(y), dtype=float)
+    h0_vals = np.asarray(h0(y), dtype=float)
 
     def initial_term(tt, xx):
         return float(np.sum(wq * _kernel(tt, xx - y, d) * h0_vals))
@@ -286,8 +242,8 @@ def integral_representation_oracle(h0, g, h, t: float, x: float, p: Parameters) 
     # multiplies a harmless value inside each marching step.
     u0 = np.zeros(n + 1)
     u1 = np.zeros(n + 1)
-    u0[0] = float(h0_fun(0.0))
-    u1[0] = float(h0_fun(1.0))
+    u0[0] = float(h0(0.0))
+    u1[0] = float(h0(1.0))
 
     for k in range(1, n + 1):
         tk = times[k]

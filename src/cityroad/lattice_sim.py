@@ -42,7 +42,6 @@ __all__ = [
     "check_blow_up",
     "run_system",
     "simulate",
-    "check_long_time_convergence",
     "stiffness_dt_cap",
 ]
 
@@ -60,18 +59,18 @@ class BlowUpError(RuntimeError):
 class InitialData:
     """Initial data as arrays, realized on a window by ``init_state``: vertex
     densities ``rho_values`` from vertex ``j_min`` on and 0 elsewhere, or 1
-    left of them when ``left_filled``; edges zero, flat (one level per edge
-    from ``j_min`` on, ``edge_values``) or stationary-consistent (``edge_mode``).
+    left of them when ``left_filled``; edges zero, or stationary-consistent
+    with the vertices when ``stationary_edges``.  The window covers the whole
+    vertex array, zero entries included.
 
     Constructors: ``left_block`` (1 for j <= 0, empty edges), ``sine_bump``
     (one sine arch over vertices 1..n, stationary edges), ``point_mass`` (one
-    loaded vertex) and ``custom`` (explicit vertex array, any edge mode).
+    loaded vertex) and ``custom`` (explicit vertex array, either edge kind).
     """
 
     rho_values: np.ndarray
     j_min: int = 0
-    edge_mode: str = "zero"  # zero | stationary | flat
-    edge_values: np.ndarray | None = None
+    stationary_edges: bool = False
     left_filled: bool = False
 
     @classmethod
@@ -85,7 +84,7 @@ class InitialData:
         if amplitude <= 0:
             raise ValueError("sine bump needs a positive amplitude")
         arch = amplitude * np.sin(np.arange(1, n + 1) * math.pi / (n + 1))
-        return cls(arch, 1, edge_mode="stationary")
+        return cls(arch, 1, stationary_edges=True)
 
     @classmethod
     def point_mass(cls, j0: int, amplitude: float) -> "InitialData":
@@ -94,36 +93,16 @@ class InitialData:
         return cls(np.array([float(amplitude)]), j0)
 
     @classmethod
-    def custom(cls, rho_values, j_min: int = 0, edge_mode: str = "zero",
-               edge_values=None) -> "InitialData":
+    def custom(cls, rho_values, j_min: int = 0,
+               stationary_edges: bool = False) -> "InitialData":
         rho = np.asarray(rho_values, dtype=float)
         if rho.ndim != 1 or len(rho) < 1:
             raise ValueError("custom data needs a 1-d vertex array")
         if not np.all(np.isfinite(rho)) or np.any(rho < 0):
             raise ValueError("custom data must be finite and nonnegative")
-        if not np.any(rho > 0) and edge_values is None:
+        if not np.any(rho > 0):
             raise ValueError("rejecting trivial data")
-        if edge_mode not in ("zero", "stationary", "flat"):
-            raise ValueError(f"unknown edge mode {edge_mode!r}")
-        ev = None
-        if edge_mode == "flat":
-            if edge_values is None:
-                raise ValueError("flat edge mode needs per-edge values")
-            ev = np.asarray(edge_values, dtype=float)
-            if len(ev) != len(rho) - 1:
-                raise ValueError("need one flat edge value per edge")
-            if not np.all(np.isfinite(ev)) or np.any(ev < 0):
-                raise ValueError("edge values must be finite and nonnegative")
-        return cls(rho, j_min, edge_mode, ev)
-
-    def support(self) -> tuple[int, int]:
-        """First and last vertex of ``rho_values`` that is nonzero, or of all
-        of them when none is (data on the edges only).  A left-filled block
-        extends to -inf and reports its right end twice."""
-        nz = np.nonzero(self.rho_values)[0]
-        if len(nz) == 0:
-            return (self.j_min, self.j_min + len(self.rho_values) - 1)
-        return (self.j_min + int(nz[0]), self.j_min + int(nz[-1]))
+        return cls(rho, j_min, stationary_edges)
 
 
 @dataclass(frozen=True)
@@ -192,27 +171,24 @@ def default_c_upper(p: Parameters, c_star: float | None = None) -> float:
 
 
 def init_state(data: InitialData, cfg: SimulationConfig, p: Parameters) -> LatticeState:
-    """Realize initial data on a window covering its support plus
+    """Realize initial data on a window covering the whole vertex array plus
     ceil(c_upper * T) + margin vertices on each side."""
     c_up = cfg.c_upper_guess if cfg.c_upper_guess is not None else default_c_upper(p)
     reach = math.ceil(c_up * cfg.T) + cfg.window_margin
-    lo, hi = data.support()
-    j_min, j_max = lo - reach, hi + reach
-    n_v = j_max - j_min + 1
-    k0 = data.j_min - j_min
-    rho = np.zeros(n_v)
-    rho[k0 : k0 + len(data.rho_values)] = data.rho_values
+    n_data = len(data.rho_values)
+    j_min, j_max = data.j_min - reach, data.j_min + n_data - 1 + reach
+    rho = np.zeros(j_max - j_min + 1)
+    rho[reach : reach + n_data] = data.rho_values
     if data.left_filled:
-        rho[:k0] = 1.0
+        rho[:reach] = 1.0
     if not np.all(np.isfinite(rho)) or np.any(rho < 0):
         raise ValueError("initial vertex data must be finite and nonnegative")
-    edges = np.zeros((n_v - 1, cfg.m + 1))
-    if data.edge_mode == "stationary":
-        edges = sample_linear_profiles(stationary_from_rho(rho, p), cfg.m)
-    elif data.edge_mode == "flat":
-        edges[k0 : k0 + len(data.edge_values)] = data.edge_values[:, None]
-    if not np.any(rho > 0) and not np.any(edges > 0):
+    if not np.any(rho > 0):
         raise ValueError("rejecting trivial data")
+    if data.stationary_edges:
+        edges = sample_linear_profiles(stationary_from_rho(rho, p), cfg.m)
+    else:
+        edges = np.zeros((len(rho) - 1, cfg.m + 1))
     return LatticeState(j_min, j_max, rho, edges, 0.0)
 
 
@@ -343,22 +319,3 @@ def _snapshot_contaminated(rho: np.ndarray, check_left: bool) -> bool:
     if abs(rho[-1]) > limit:
         return True
     return check_left and abs(rho[0]) > limit
-
-
-def check_long_time_convergence(traj: Trajectory, p: Parameters) -> float:
-    """Deviation from the invaded state on the central quarter of the window:
-    max of |rho - 1| over central vertices and |v - beta/alpha| over central
-    edges at the final time."""
-    final = traj.final
-    quarter = (final.j_max - final.j_min) // 4
-    js = final.js
-    central_v = np.abs(js) <= quarter
-    if not np.any(central_v):
-        raise ValueError("window has no central vertices")
-    dev_rho = float(np.max(np.abs(final.rho[central_v] - 1.0)))
-    ej = js[:-1]
-    central_e = (np.abs(ej) <= quarter) & (np.abs(ej + 1) <= quarter)
-    dev_v = 0.0
-    if np.any(central_e):
-        dev_v = float(np.max(np.abs(final.edges[central_e] - p.beta / p.alpha)))
-    return max(dev_rho, dev_v)

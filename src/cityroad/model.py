@@ -27,7 +27,6 @@ __all__ = [
     "NonlinearityDescriptor",
     "logistic",
     "Parameters",
-    "EdgeGrid",
     "LatticeState",
     "rescale_to_unit_length",
     "total_mass",
@@ -106,32 +105,6 @@ def rescale_to_unit_length(p: Parameters, ell: float) -> Parameters:
 
 
 @dataclass(frozen=True)
-class EdgeGrid:
-    """Samples of one edge profile at x_i = i/m, i = 0..m."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, 1))
-        if len(self.values) < 3:
-            raise ValueError("edge grid needs m >= 2, i.e. at least 3 samples")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("edge values must be finite")
-
-    @property
-    def m(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def dx(self) -> float:
-        return 1.0 / self.m
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.arange(self.m + 1) / self.m
-
-
-@dataclass(frozen=True)
 class LatticeState:
     """Truncated-window snapshot: vertex densities for j in [j_min, j_max] and
     the m+1 edge samples for each edge j in [j_min, j_max - 1]."""
@@ -176,9 +149,6 @@ class LatticeState:
     @property
     def densities(self) -> np.ndarray:
         return self.rho
-
-    def edge_grid(self, k: int) -> EdgeGrid:
-        return EdgeGrid(self.edges[k])
 
 
 def _trapezoid_rows(values: np.ndarray, dx: float) -> np.ndarray:

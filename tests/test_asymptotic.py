@@ -109,9 +109,9 @@ class TestStep:
     def test_ordering_preserved(self, p):
         cfg = SimulationConfig(T=5.0, dt=0.01, m=8, c_upper_guess=1.0, snapshot_stride=50)
         lo = simulate_asymptotic(InitialData.custom(np.full(9, 0.2), j_min=-4,
-                                                    edge_mode="stationary"), cfg, p)
+                                                    stationary_edges=True), cfg, p)
         hi = simulate_asymptotic(InitialData.custom(np.full(9, 0.5), j_min=-4,
-                                                    edge_mode="stationary"), cfg, p)
+                                                    stationary_edges=True), cfg, p)
         for a, b in zip(lo.snapshots, hi.snapshots):
             assert np.max(a.P - b.P) <= 1e-10
             assert np.max(a.V - b.V) <= 1e-10
@@ -156,8 +156,7 @@ class TestSpreadingDichotomy:
 class TestLargeD:
     def test_matched_steady_states_agree(self, p):
         rho = np.ones(31)
-        data = InitialData.custom(rho, j_min=-15, edge_mode="flat",
-                                  edge_values=np.full(30, p.beta / p.alpha))
+        data = InitialData.custom(rho, j_min=-15, stationary_edges=True)
         rows = large_d_convergence_experiment([1e-2], data, 2.0, p, m=16, dt=2e-3)
         assert rows[0][1] <= 1e-6
 

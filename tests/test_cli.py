@@ -333,6 +333,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: " + " ".join(str(exc).split()) + "\n"
 
+    @pytest.mark.parametrize("extra", [[], ["--parallel"]])
+    def test_sweep_point_out_of_memory_keeps_every_row(self, extra, tmp_path, monkeypatch,
+                                                       capsys):
+        # a window too large to allocate fails its own point only: every row
+        # is written, and the failure keeps its exit code
+        real = cli.simulate
+
+        def simulate(data, cfg, p, *args, **kwargs):
+            if p.fprime0 == 2.0:
+                raise MemoryError("cannot allocate the window")
+            return real(data, cfg, p, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate", simulate)
+        out = tmp_path / "out"
+        args = ["sweep", "--set", "sweep.parameter=fprime0", "--set", "sweep.values=1,2",
+                "--set", "simulation.T=10", "--set", "simulation.m=8",
+                "--set", "simulation.dt=0.002", *outdir_arg(out), *extra]
+        assert main(args) == 2
+        rows = [l.split(",") for l in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [(r[1], r[5]) for r in rows] == [("1", "ok"), ("2", "MemoryError")]
+        stdout, err = capsys.readouterr()
+        assert "fprime0=2 status=MemoryError" in stdout.splitlines()
+        assert err == "error: cannot allocate the window\n"
+
 
 class TestWriter:
     """The CSV blocks print every float as format(x, '.17g') does."""

@@ -270,7 +270,7 @@ class TestSupersolutionDomination:
         js0 = np.arange(-6, 7)
         seed = 0.9 * np.exp(-js0.astype(float) ** 2 / 4.0)
         seed[seed < 1e-8] = 0.0
-        data = InitialData.custom(seed, j_min=-6, edge_mode="stationary")
+        data = InitialData.custom(seed, j_min=-6, stationary_edges=True)
         cfg = SimulationConfig(T=8.0, dt=2.5e-3, m=16, c_upper_guess=1.0, snapshot_stride=200)
         traj = simulate(data, cfg, p)
         s0 = traj.snapshots[0]

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from cityroad.edge_solver import (
-    EdgeGrid,
-    RobinStepInput,
     assemble_step_operator,
     integral_representation_oracle,
     manufactured_loads,
     manufactured_profile,
     manufactured_solution_error,
-    step_edge,
 )
 from cityroad.model import Parameters, logistic
 
@@ -36,39 +33,36 @@ def ghost_node_laplacian(m, d, alpha):
 
 
 def robin_constant_step(p, m=32, dt=1e-3):
-    edge = EdgeGrid(np.full(m + 1, p.beta / p.alpha))
-    g = p.beta
-    return step_edge(RobinStepInput(edge, (g, g), (g, g), dt, p)), edge
+    edge = np.full(m + 1, p.beta / p.alpha)
+    return assemble_step_operator(m, dt, p).apply(edge, p.beta, p.beta), edge
 
 
 class TestAssemble:
     def test_constant_is_fixed_point(self, p):
         out, edge = robin_constant_step(p)
         ulp = np.finfo(float).eps * max(1.0, p.beta / p.alpha)
-        assert np.max(np.abs(out.values - edge.values)) <= 8 * ulp
+        assert np.max(np.abs(out - edge)) <= 8 * ulp
 
     def test_constant_fixed_point_offunit_parameters(self):
         p = Parameters(0.8, 1.7, 2.5)
         out, edge = robin_constant_step(p)
         ulp = np.finfo(float).eps * max(1.0, p.beta / p.alpha)
-        assert np.max(np.abs(out.values - edge.values)) <= 8 * ulp
+        assert np.max(np.abs(out - edge)) <= 8 * ulp
 
     def test_zero_stays_zero(self, p):
-        edge = EdgeGrid(np.zeros(33))
-        out = step_edge(RobinStepInput(edge, (0.0, 0.0), (0.0, 0.0), 1e-3, p))
-        assert np.all(out.values == 0.0)
+        out = assemble_step_operator(32, 1e-3, p).apply(np.zeros(33), 0.0, 0.0)
+        assert np.all(out == 0.0)
 
     def test_dt_to_zero_consistency(self, p):
         rng = np.random.default_rng(5)
         m = 32
         vals = rng.uniform(0, 1, m + 1)
-        edge = EdgeGrid(vals)
         dt = 1e-8
-        out = step_edge(RobinStepInput(edge, (0.3, 0.3), (0.7, 0.7), dt, p))
+        out = assemble_step_operator(m, dt, p).apply(vals, 0.3, 0.7)
         # one step deviates from the input by at most dt (|L v| + |load|)
         lv = ghost_node_laplacian(m, p.d, p.alpha) @ vals
         bound = dt * (np.max(np.abs(lv)) + 2.0 * m * 0.7) * 1.1
-        assert np.max(np.abs(out.values - vals)) <= bound
+        assert np.max(np.abs(out - vals)) <= bound
 
     def test_rejects_bad_sizes(self, p):
         with pytest.raises(ValueError):
@@ -78,58 +72,53 @@ class TestAssemble:
 
 
 class TestStepEdge:
+    """One edge stepped by ``StepOperator.apply`` with scalar
+    (time-averaged) Robin loads."""
+
     def test_manufactured_single_step(self, p):
         m, dt = 32, 1e-3
         x = np.arange(m + 1) / m
-        edge = EdgeGrid(manufactured_profile(0.0, x, p))
         g0, h0 = manufactured_loads(0.0, p)
         g1, h1 = manufactured_loads(dt, p)
-        out = step_edge(RobinStepInput(edge, (g0, g1), (h0, h1), dt, p))
-        err = np.max(np.abs(out.values - manufactured_profile(dt, x, p)))
+        out = assemble_step_operator(m, dt, p).apply(
+            manufactured_profile(0.0, x, p), 0.5 * (g0 + g1), 0.5 * (h0 + h1))
+        err = np.max(np.abs(out - manufactured_profile(dt, x, p)))
         # one-step error O(dt^3 + dt dx^2); generous envelope
         assert err <= 50.0 * (dt**3 + dt / m**2)
 
     def test_monotone_fill_toward_equilibrium(self, p):
         # zero start, constant loads beta: values rise toward beta/alpha
         m, dt = 32, 9e-4  # d dt / dx^2 < 1: monotone regime
-        edge = EdgeGrid(np.zeros(m + 1))
-        prev = edge.values
+        op = assemble_step_operator(m, dt, p)
+        prev = np.zeros(m + 1)
         for _ in range(200):
-            edge = step_edge(RobinStepInput(edge, (p.beta, p.beta), (p.beta, p.beta), dt, p))
-            assert np.all(edge.values >= prev - 1e-12)
-            assert np.all(edge.values <= p.beta / p.alpha + 1e-12)
-            prev = edge.values
+            edge = op.apply(prev, p.beta, p.beta)
+            assert np.all(edge >= prev - 1e-12)
+            assert np.all(edge <= p.beta / p.alpha + 1e-12)
+            prev = edge
 
     def test_linearity(self, p):
         rng = np.random.default_rng(7)
         e1 = rng.uniform(0, 1, 33)
         e2 = rng.uniform(0, 1, 33)
-        g1, g2 = (0.2, 0.4), (0.9, 0.1)
-        h1, h2 = (0.5, 0.5), (0.3, 0.8)
+        g1, g2 = 0.3, 0.5
+        h1, h2 = 0.5, 0.55
         a, b = 1.7, -0.6
-        dt = 1e-3
-        combo = step_edge(RobinStepInput(
-            EdgeGrid(a * e1 + b * e2),
-            (a * g1[0] + b * g2[0], a * g1[1] + b * g2[1]),
-            (a * h1[0] + b * h2[0], a * h1[1] + b * h2[1]),
-            dt, p,
-        ))
-        s1 = step_edge(RobinStepInput(EdgeGrid(e1), g1, h1, dt, p))
-        s2 = step_edge(RobinStepInput(EdgeGrid(e2), g2, h2, dt, p))
-        assert np.allclose(combo.values, a * s1.values + b * s2.values, rtol=1e-12, atol=1e-13)
+        op = assemble_step_operator(32, 1e-3, p)
+        combo = op.apply(a * e1 + b * e2, a * g1 + b * g2, a * h1 + b * h2)
+        s1 = op.apply(e1, g1, h1)
+        s2 = op.apply(e2, g2, h2)
+        assert np.allclose(combo, a * s1 + b * s2, rtol=1e-12, atol=1e-13)
 
     def test_positivity_with_nonneg_data(self, p):
         rng = np.random.default_rng(9)
         m, dt = 32, 9e-4
         smooth = np.convolve(rng.uniform(0, 1, m + 5), np.ones(5) / 5, mode="valid")
-        edge = EdgeGrid(np.abs(smooth))
+        op = assemble_step_operator(m, dt, p)
+        edge = np.abs(smooth)
         for _ in range(100):
-            edge = step_edge(RobinStepInput(edge, (0.5, 0.5), (0.2, 0.2), dt, p))
-            assert np.min(edge.values) >= -1e-12
-
-    def test_rejects_nan(self, p):
-        with pytest.raises(ValueError):
-            RobinStepInput(EdgeGrid(np.zeros(9)), (math.nan, 0.0), (0.0, 0.0), 1e-3, p)
+            edge = op.apply(edge, 0.5, 0.2)
+            assert np.min(edge) >= -1e-12
 
 
 class TestManufacturedHarness:

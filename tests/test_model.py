@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cityroad.model import (
-    EdgeGrid,
     LatticeState,
     NonlinearityDescriptor,
     Parameters,
@@ -182,15 +181,6 @@ class TestStationaryResidual:
 
 
 class TestContainers:
-    def test_edge_grid_validation(self):
-        with pytest.raises(ValueError):
-            EdgeGrid([1.0, 2.0])  # m < 2
-        with pytest.raises(ValueError):
-            EdgeGrid([1.0, np.inf, 2.0])
-        g = EdgeGrid([0.0, 1.0, 2.0, 3.0])
-        assert g.m == 3
-        assert g.dx == pytest.approx(1.0 / 3.0)
-
     def test_lattice_state_validation(self):
         with pytest.raises(ValueError):
             LatticeState(0, 2, np.ones(3), np.ones((1, 9)), 0.0)  # edge count

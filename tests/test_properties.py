@@ -35,6 +35,8 @@ def at_corners(ks=()):
 @box_settings
 @given(alpha=rate, beta=rate, d=rate, f0=rate, k=rate)
 @at_corners(ks=(0.1, 10.0))
+@example(alpha=1.0, beta=1.0, d=1.0, f0=1.0, k=1e6)  # lambda0 scales with k: past 1e6 here
+@example(alpha=1.0, beta=1.0, d=1.0, f0=1.0, k=1e8)
 def test_c_star_time_rescaling(alpha, beta, d, f0, k):
     c = compute_c_star(params(alpha, beta, d, f0)).c_star
     c_k = compute_c_star(params(k * alpha, k * beta, k * d, k * f0)).c_star
