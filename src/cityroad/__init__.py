@@ -31,7 +31,6 @@ from .lattice_sim import (
     init_state,
     run_system,
     simulate,
-    step_system,
 )
 from .dispersion import (
     DispersionPoint,
@@ -43,12 +42,10 @@ from .dispersion import (
 )
 from .asymptotic import (
     AsymptoticSpeed,
-    AsymptoticState,
     asymptotic_dispersion_eval,
     compute_c_star_inf,
     large_d_convergence_experiment,
     simulate_asymptotic,
-    step_asymptotic,
 )
 from .front_speed import (
     FrontTrace,

@@ -15,12 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import kernels
 from .asymptotic import (
-    AsymptoticState,
     compute_c_star_inf,
     large_d_convergence_experiment,
     simulate_asymptotic,
-    step_asymptotic,
 )
 from .dispersion import compute_c_star, dispersion_eval, exponential_ansatz_residual
 from .edge_solver import (
@@ -29,14 +28,8 @@ from .edge_solver import (
     manufactured_solution_error,
 )
 from .front_speed import estimate_speed, inner_deficit, outer_occupancy
-from .lattice_sim import (
-    InitialData,
-    SimulationConfig,
-    simulate,
-    step_system,
-)
+from .lattice_sim import InitialData, SimulationConfig, simulate
 from .model import (
-    LatticeState,
     Parameters,
     logistic,
     sample_linear_profiles,
@@ -120,13 +113,15 @@ def criterion_3_steady_fixed_point():
     rho = np.ones(n)
     edges = sample_linear_profiles(stationary_from_rho(rho, p), 32)
 
-    def interior_dev(s, cut=4):
-        return max(float(np.max(np.abs(s.densities[cut:-cut] - 1.0))),
-                   float(np.max(np.abs(s.edges[cut:-cut] - 1.0))))
+    def interior_dev(v, rho, cut=4):
+        return max(float(np.max(np.abs(rho[cut:-cut] - 1.0))),
+                   float(np.max(np.abs(v[cut:-cut] - 1.0))))
 
-    dev_full = interior_dev(step_system(LatticeState(-12, 12, rho, edges, 0.0), 1e-3, p))
-    sa = AsymptoticState(-12, 12, np.ones(n - 1), np.ones(n), 0.0)
-    dev_asym = interior_dev(step_asymptotic(sa, 0.01, p))
+    op = assemble_step_operator(32, 1e-3, p)
+    v, rho_full, _ = kernels.advance_lattice(edges, rho, 1, 1e-3, p.alpha, p.beta, p.fprime0, op)
+    V, P, _ = kernels.advance_asym(np.ones(n - 1), rho, 1, 0.01, p.alpha, p.beta, p.fprime0)
+    dev_full = interior_dev(v, rho_full)
+    dev_asym = interior_dev(V, P)
     ok = dev_full <= 1e-12 and dev_asym <= 1e-13
     return ok, f"full={dev_full:.2e} (<=1e-12) asymptotic={dev_asym:.2e} (<=1e-13), interior vertices"
 
@@ -264,9 +259,9 @@ def criterion_11_comparison_principle():
         data_hi = InitialData.custom(upper, j_min=-5, stationary_edges=True)
         for run, cfg in ((simulate, cfg_full), (simulate_asymptotic, cfg_asym)):
             for a, b in zip(run(data_lo, cfg, p).snapshots, run(data_hi, cfg, p).snapshots):
-                worst_order = max(worst_order, float(np.max(a.densities - b.densities)),
+                worst_order = max(worst_order, float(np.max(a.rho - b.rho)),
                                   float(np.max(a.edges - b.edges)))
-                worst_neg = min(worst_neg, float(np.min(a.densities)), float(np.min(a.edges)))
+                worst_neg = min(worst_neg, float(np.min(a.rho)), float(np.min(a.edges)))
     ok = worst_order <= 1e-10 and worst_neg >= -1e-12
     return ok, f"max_order_violation={worst_order:.2e} (<=1e-10) min_value={worst_neg:.2e} (>=-1e-12)"
 

@@ -15,8 +15,9 @@ The limit speed is the minimum over mu > 0 of the positive root
 c_plus(mu) = (-(2 alpha + 2 beta - f'(0)) + sqrt(DeltaInf)) / (2 mu).  This
 module integrates the ODE lattice through the shared driver
 ``lattice_sim.run_system``, with one classical RK4 step per road level
-(``kernels.advance_asym``) in place of the Crank-Nicolson edge update, and runs
-the matched convergence experiment against the full simulator.
+(``kernels.advance_asym``) in place of the Crank-Nicolson edge update; its
+snapshots are ``LatticeState``s whose roads hold one sample, the level V_j.
+It also runs the matched convergence experiment against the full simulator.
 """
 
 from __future__ import annotations
@@ -32,21 +33,17 @@ from .lattice_sim import (
     InitialData,
     SimulationConfig,
     Trajectory,
-    check_blow_up,
-    check_dt,
     init_state,
     run_system,
     simulate,
 )
-from .model import Parameters
+from .model import LatticeState, Parameters
 
 __all__ = [
-    "AsymptoticState",
     "AsymptoticSpeed",
     "AsymptoticDispersion",
     "asymptotic_dispersion_eval",
     "compute_c_star_inf",
-    "step_asymptotic",
     "simulate_asymptotic",
     "large_d_convergence_experiment",
 ]
@@ -56,44 +53,6 @@ __all__ = [
 _GRID_POINTS = 2000
 _MU_RANGE = (1e-4, 50.0)
 _NEWTON_ITERATIONS = 50
-
-
-@dataclass(frozen=True)
-class AsymptoticState:
-    """Window snapshot of the limit system: per-edge V and per-vertex P."""
-
-    j_min: int
-    j_max: int
-    V: np.ndarray
-    P: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        V = np.array(self.V, dtype=float)
-        P = np.array(self.P, dtype=float)
-        V.setflags(write=False)
-        P.setflags(write=False)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "P", P)
-        if self.j_min >= self.j_max:
-            raise ValueError("need j_min < j_max")
-        if len(P) != self.j_max - self.j_min + 1 or len(V) != len(P) - 1:
-            raise ValueError("V/P lengths must match the window")
-        if not (np.all(np.isfinite(V)) and np.all(np.isfinite(P))):
-            raise ValueError("state entries must be finite")
-
-    @property
-    def densities(self) -> np.ndarray:
-        return self.P
-
-    @property
-    def js(self) -> np.ndarray:
-        return np.arange(self.j_min, self.j_max + 1)
-
-    @property
-    def edges(self) -> np.ndarray:
-        """The levels V as flat one-sample road profiles, shape (n_edges, 1)."""
-        return self.V[:, None]
 
 
 class AsymptoticDispersion(NamedTuple):
@@ -167,19 +126,12 @@ def compute_c_star_inf(p: Parameters) -> AsymptoticSpeed:
     return AsymptoticSpeed(float(mu_star), float(c_inf), psi_res, dpsi_res)
 
 
-def step_asymptotic(s: AsymptoticState, dt: float, p: Parameters) -> AsymptoticState:
-    """One classical RK4 step of the limit system with absorbing window ends."""
-    check_dt(dt, p)
-    V, P, _ = kernels.advance_asym(s.V, s.P, 1, dt, p.alpha, p.beta, p.fprime0)
-    check_blow_up(p, s.V, s.P, V, P, s.time + dt)
-    return AsymptoticState(s.j_min, s.j_max, V, P, s.time + dt)
-
-
 def simulate_asymptotic(data: InitialData, cfg: SimulationConfig, p: Parameters,
                         on_snapshot=None) -> Trajectory:
     """Integrate the limit system to time T: ``lattice_sim.run_system`` with
-    the RK4 step, looked up on ``kernels`` at each call, and the mass V + P;
-    ``on_snapshot`` is passed on.
+    the RK4 step, looked up on ``kernels`` at each call, recording
+    ``LatticeState(j_min, j_max, P, V[:, None], t)`` snapshots, whose
+    ``total_mass`` is P + V; ``on_snapshot`` is passed on.
 
     Matched initialization: P from the vertex data; V from the limit
     relation V_j = beta/(2 alpha) (P_j + P_{j+1}) when the edges are
@@ -193,10 +145,9 @@ def simulate_asymptotic(data: InitialData, cfg: SimulationConfig, p: Parameters,
     else:
         V = np.zeros(len(P) - 1)
     return run_system(
-        data, cfg, p, V, P,
+        cfg, p, V, P,
         lambda V, P, n: kernels.advance_asym(V, P, n, cfg.dt, p.alpha, p.beta, p.fprime0),
-        lambda V, P, t: AsymptoticState(s0.j_min, s0.j_max, V, P, t),
-        lambda s: float(s.V.sum() + s.P.sum()),
+        lambda V, P, t: LatticeState(s0.j_min, s0.j_max, P, V[:, None], t),
         on_snapshot=on_snapshot,
     )
 
@@ -238,7 +189,7 @@ def large_d_convergence_experiment(
         for s_full, s_lim in zip(full.snapshots, ref.snapshots):
             if s_full.time < 1.0:
                 continue
-            err = max(err, float(np.max(np.abs(s_full.rho[central_v] - s_lim.P[central_v]))))
+            err = max(err, float(np.max(np.abs(s_full.rho[central_v] - s_lim.rho[central_v]))))
             diff = np.abs(s_full.edges[central_e] - s_lim.edges[central_e])
             err = max(err, float(np.max(diff)))
         rows.append((float(eps), err))

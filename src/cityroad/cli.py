@@ -172,6 +172,8 @@ class ExperimentConfig:
         for eps in self.raw["largeD.eps_values"]:
             if eps <= 0:
                 raise ConfigError("largeD.eps_values must be positive")
+        if self.raw["largeD.eps_values"] and not self.raw["largeD.T"] > 1.0:
+            raise ConfigError("largeD.T must be > 1: errors are measured on [1, T]")
 
 
 def _apply_assignment(raw: dict, key: str, value: str, where: str):
@@ -406,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             only = None
-            if args.only:
+            if args.only is not None:
                 only = [int(x) for x in args.only.split(",") if x.strip()]
             return _cmd_verify(only)
         cfg = parse_config(args.config, args.sets)

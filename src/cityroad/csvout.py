@@ -75,11 +75,11 @@ def edge_block(s0):
 
 def asym_block(s0):
     """The formatter of one snapshot's time,j,V,P lines of the limit system
-    on the window of snapshot ``s0``; the last vertex has no edge and gets
-    V = nan."""
+    (each edge's one level V and the vertex densities P) on the window of
+    snapshot ``s0``; the last vertex has no edge and gets V = nan."""
     template = "".join(f"{{t}},{j},%.17g,%.17g\n" for j in range(s0.j_min, s0.j_max + 1))
     return lambda s: _filled(template, fmt(s.time),
-                             np.column_stack((np.append(s.V, math.nan), s.P)))
+                             np.column_stack((np.append(s.edges[:, 0], math.nan), s.rho)))
 
 
 def _write_blocks(data, data_end, status, files) -> None:

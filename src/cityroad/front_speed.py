@@ -77,9 +77,8 @@ def estimate_speed(
     """Least-squares speed of the rightward front over the fractional time
     window.
 
-    Works on any trajectory whose snapshots expose time, j_min and a vertex
-    density array; by the model's mirror symmetry a leftward front has the
-    same speed.
+    Works on a trajectory of either system (``LatticeState`` snapshots); by
+    the model's mirror symmetry a leftward front has the same speed.
     """
     lo_f, hi_f = window_fraction
     if not (0.0 <= lo_f < hi_f <= 1.0):
@@ -93,7 +92,7 @@ def estimate_speed(
         if not (t_lo <= s.time <= t_hi):
             continue
         times.append(s.time)
-        positions.append(s.j_min + level_position(np.asarray(s.densities), threshold))
+        positions.append(s.j_min + level_position(s.rho, threshold))
     if len(times) < 10:
         raise ValueError("fit window holds fewer than 10 snapshots")
     times = np.array(times)
@@ -142,16 +141,15 @@ def outer_occupancy(traj, speed: float, factor: float = 1.2) -> float:
     final = traj.snapshots[-1]
     cutoff = factor * speed * final.time
     js = np.arange(final.j_min, final.j_max + 1)
-    dens0 = np.asarray(traj.snapshots[0].densities)
+    rho0 = traj.snapshots[0].rho
     mask = np.zeros(len(js), dtype=bool)
-    if dens0[-1] == 0.0:
+    if rho0[-1] == 0.0:
         mask |= js >= cutoff
-    if dens0[0] == 0.0:
+    if rho0[0] == 0.0:
         mask |= js <= -cutoff
     if not np.any(mask):
         raise ValueError("outer region is empty; enlarge the window or lower T")
-    dens = np.asarray(final.densities)
-    sup = float(np.max(dens[mask]))
+    sup = float(np.max(final.rho[mask]))
     edge_mask = mask[:-1] & mask[1:]
     if np.any(edge_mask):
         sup = max(sup, float(np.max(final.edges[edge_mask])))
@@ -167,8 +165,7 @@ def inner_deficit(traj, p, speed: float, factor: float = 0.8) -> float:
     mask = np.abs(js) <= cutoff
     if not np.any(mask):
         raise ValueError("inner region is empty")
-    dens = np.asarray(final.densities)
-    deficit = float(np.max(1.0 - dens[mask]))
+    deficit = float(np.max(1.0 - final.rho[mask]))
     edge_mask = mask[:-1] & mask[1:]
     if np.any(edge_mask):
         deficit = max(deficit, float(np.max(p.beta / p.alpha - final.edges[edge_mask])))

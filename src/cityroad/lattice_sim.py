@@ -5,7 +5,8 @@ explicitly, edge diffusion implicitly (Crank-Nicolson), so each step costs one
 product of all edge profiles with the precomputed dense propagator
 (``kernels.advance_lattice``).  ``run_system`` is the one stepping loop, for
 this system and its fast-diffusion limit (``asymptotic``) alike: each plugs in
-its n-step advance, snapshot type and in-window mass.  The infinite lattice is
+its n-step advance and its ``LatticeState`` snapshot, whose mass is
+``total_mass``.  The infinite lattice is
 truncated to a window sized from an upper speed guess, with absorbing (zero)
 exterior; a contamination detector flags runs whose front reaches a window
 boundary that started empty.  Mass bookkeeping adds the boundary outflux back
@@ -37,7 +38,6 @@ __all__ = [
     "Trajectory",
     "init_state",
     "compatibility_residual",
-    "step_system",
     "check_dt",
     "check_blow_up",
     "run_system",
@@ -136,9 +136,9 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshot sequence with leak-corrected mass series and run diagnostics;
-    the limit system's snapshots are ``AsymptoticState``s, its compatibility
-    residual 0 (it has no Robin condition)."""
+    """``LatticeState`` snapshots with the leak-corrected mass series and run
+    diagnostics; the limit system's snapshots hold one level per edge and
+    its compatibility residual is 0 (it has no Robin condition)."""
 
     snapshots: tuple
     mass: np.ndarray
@@ -196,8 +196,11 @@ def compatibility_residual(state: LatticeState, p: Parameters) -> float:
     """Largest residual of the Robin compatibility relations at t = 0 over
     all edges: -d h'(0) + alpha h(0) - beta rho_j and d h'(1) + alpha h(1)
     - beta rho_{j+1}.  Reported, never enforced: the dynamics smooth an
-    incompatible start instantly and the standard block data violates it."""
+    incompatible start instantly and the standard block data violates it.
+    The one-sided derivatives need at least three samples per edge."""
     m = state.m
+    if m < 2:
+        raise ValueError(f"compatibility residual needs >= 3 samples per edge, got {m + 1}")
     dx = 1.0 / m
     h = state.edges
     dl = (-3.0 * h[:, 0] + 4.0 * h[:, 1] - h[:, 2]) / (2.0 * dx)
@@ -220,33 +223,21 @@ def check_blow_up(p: Parameters, v0, rho0, v, rho, t: float) -> None:
     state (v0, rho0) they were advanced from."""
     threshold = 10.0 * max(p.beta / p.alpha, 1.0, float(np.max(np.abs(rho0))),
                            float(np.max(np.abs(v0))))
-    worst = max(float(np.max(np.abs(rho))), float(np.max(np.abs(v))))
+    worst = float(np.maximum(np.max(np.abs(rho)), np.max(np.abs(v))))  # unlike max(), keeps NaN
     if not math.isfinite(worst) or worst > threshold:
         raise BlowUpError(f"solution reached {worst:.3e} by t={t:g}, threshold {threshold:.3e}")
 
 
-def step_system(s: LatticeState, dt: float, p: Parameters) -> LatticeState:
-    """Advance the full coupled system by one IMEX predictor-corrector step
-    (``kernels.advance_lattice``), formally second order in dt, and check it
-    against the blow-up threshold."""
-    op = assemble_step_operator(s.m, dt, p)
-    v, rho, _ = kernels.advance_lattice(
-        s.edges, s.rho, 1, dt, p.alpha, p.beta, p.fprime0, op
-    )
-    check_blow_up(p, s.edges, s.rho, v, rho, s.time + dt)
-    return LatticeState(s.j_min, s.j_max, rho, v, s.time + dt)
-
-
-def run_system(data: InitialData, cfg: SimulationConfig, p: Parameters, v, rho,
-               advance, snapshot, mass, compat: float = 0.0,
-               on_snapshot=None) -> Trajectory:
-    """Step edges ``v`` and vertices ``rho`` (realized from ``data``) to time
-    T with ``advance(v, rho, n) -> (v, rho, leak)``, recording
+def run_system(cfg: SimulationConfig, p: Parameters, v, rho, advance, snapshot,
+               compat: float = 0.0, on_snapshot=None) -> Trajectory:
+    """Step edges ``v`` and vertices ``rho`` to time T with
+    ``advance(v, rho, n) -> (v, rho, leak)``, recording the ``LatticeState``
     ``snapshot(v, rho, t)`` every stride steps (~200 snapshots by default)
-    and ``mass(snapshot)`` plus the accumulated leak.  Each snapshot is
-    checked for blow-up, contamination and the a-priori bounds: values >= 0,
-    vertices <= max(1, max rho0), edges <= max(beta/alpha, max v0), each to
-    within _BOUND_TOL (relative to max(1, initial max) on the upper bounds).
+    and its ``total_mass`` plus the accumulated leak.  Each snapshot is
+    checked for blow-up, the a-priori bounds (values >= 0, vertices <=
+    max(1, max rho0), edges <= max(beta/alpha, max v0), each to within
+    _BOUND_TOL, relative to max(1, initial max) on the upper bounds) and
+    contamination: mass reaching a window end that started empty.
     ``on_snapshot``, if given, is called with each snapshot once it is
     checked and recorded."""
     check_dt(cfg.dt, p)
@@ -259,14 +250,14 @@ def run_system(data: InitialData, cfg: SimulationConfig, p: Parameters, v, rho,
     rho_max0, v_max0 = float(np.max(rho)), float(np.max(v))
     rho_hi = max(rho_max0, 1.0) + _BOUND_TOL * max(1.0, rho_max0)
     v_hi = max(v_max0, p.beta / p.alpha) + _BOUND_TOL * max(1.0, v_max0)
-    check_left = not data.left_filled
+    ends = [end for end in (0, -1) if rho[end] == 0.0]
 
     snapshots = [snapshot(v, rho, 0.0)]
-    series = [mass(snapshots[0])]
+    series = [total_mass(snapshots[0])]
     if on_snapshot is not None:
         on_snapshot(snapshots[0])
     leak = 0.0
-    contaminated = _snapshot_contaminated(rho, check_left)
+    contaminated = _snapshot_contaminated(rho, ends)
     done = 0
     while done < nsteps:
         chunk = min(stride, nsteps - done)
@@ -282,9 +273,9 @@ def run_system(data: InitialData, cfg: SimulationConfig, p: Parameters, v, rho,
             raise RuntimeError(f"vertex bound violated at t={t:g}")
         if float(np.max(v)) > v_hi:
             raise RuntimeError(f"edge bound violated at t={t:g}")
-        contaminated = contaminated or _snapshot_contaminated(rho, check_left)
+        contaminated = contaminated or _snapshot_contaminated(rho, ends)
         snapshots.append(snapshot(v, rho, t))
-        series.append(mass(snapshots[-1]) + leak)
+        series.append(total_mass(snapshots[-1]) + leak)
         if on_snapshot is not None:
             on_snapshot(snapshots[-1])
     return Trajectory(
@@ -302,20 +293,16 @@ def simulate(data: InitialData, cfg: SimulationConfig, p: Parameters,
     s0 = init_state(data, cfg, p)
     op = assemble_step_operator(cfg.m, cfg.dt, p)
     return run_system(
-        data, cfg, p, s0.edges, s0.rho,
+        cfg, p, s0.edges, s0.rho,
         lambda v, rho, n: kernels.advance_lattice(
             v, rho, n, cfg.dt, p.alpha, p.beta, p.fprime0, op),
         lambda v, rho, t: LatticeState(s0.j_min, s0.j_max, rho, v, t),
-        total_mass, compat=compatibility_residual(s0, p),
+        compat=compatibility_residual(s0, p),
         on_snapshot=on_snapshot,
     )
 
 
-def _snapshot_contaminated(rho: np.ndarray, check_left: bool) -> bool:
+def _snapshot_contaminated(rho: np.ndarray, ends) -> bool:
     peak = float(np.max(np.abs(rho)))
-    if peak == 0.0:
-        return False
     limit = _CONTAMINATION_FACTOR * peak
-    if abs(rho[-1]) > limit:
-        return True
-    return check_left and abs(rho[0]) > limit
+    return peak > 0.0 and any(abs(rho[end]) > limit for end in ends)

@@ -11,8 +11,9 @@ while each city follows rho_j' = f(rho_j) + alpha (v_j(0) + v_{j-1}(1))
 - 2 beta rho_j with a KPP reaction f.  All roads have one length ell, which
 scales out exactly (alpha -> alpha/ell, d -> d/ell^2, v -> ell v), so
 ``Parameters`` describe the unit-length lattice.  This module holds the
-parameter and state containers, the unit-length rescaling, the mass
-functional, and the closed-form algebra of stationary states.
+parameter containers, the snapshot type of both this system and its
+fast-diffusion limit, the unit-length rescaling, the mass functional, and
+the closed-form algebra of stationary states.
 """
 
 from __future__ import annotations
@@ -106,13 +107,14 @@ def rescale_to_unit_length(p: Parameters, ell: float) -> Parameters:
 
 @dataclass(frozen=True)
 class LatticeState:
-    """Truncated-window snapshot: vertex densities for j in [j_min, j_max] and
-    the m+1 edge samples for each edge j in [j_min, j_max - 1]."""
+    """Truncated-window snapshot of either system: vertex densities for j in
+    [j_min, j_max] and, for each edge j in [j_min, j_max - 1], its m+1 grid
+    samples, or its one level V_j in the fast-diffusion limit (m = 0)."""
 
     j_min: int
     j_max: int
     rho: np.ndarray
-    edges: np.ndarray  # shape (n_edges, m+1)
+    edges: np.ndarray  # shape (n_edges, m+1), or (n_edges, 1) in the limit
     time: float = 0.0
 
     def __post_init__(self):
@@ -125,18 +127,10 @@ class LatticeState:
             raise ValueError("rho length must match the window")
         if self.edges.shape[0] != n_v - 1:
             raise ValueError("edge count must be vertex count - 1")
-        if self.edges.shape[1] < 3:
-            raise ValueError("edge grids need m >= 2")
+        if self.edges.shape[1] < 1:
+            raise ValueError("each edge needs at least one sample")
         if not (np.all(np.isfinite(self.rho)) and np.all(np.isfinite(self.edges))):
             raise ValueError("state entries must be finite")
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.rho)
-
-    @property
-    def n_edges(self) -> int:
-        return self.edges.shape[0]
 
     @property
     def m(self) -> int:
@@ -146,10 +140,6 @@ class LatticeState:
     def js(self) -> np.ndarray:
         return np.arange(self.j_min, self.j_max + 1)
 
-    @property
-    def densities(self) -> np.ndarray:
-        return self.rho
-
 
 def _trapezoid_rows(values: np.ndarray, dx: float) -> np.ndarray:
     inner = values[..., 1:-1].sum(axis=-1)
@@ -157,8 +147,10 @@ def _trapezoid_rows(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 def total_mass(s: LatticeState) -> float:
-    """Sum of vertex densities plus trapezoid-rule edge integrals."""
-    edge_mass = _trapezoid_rows(s.edges, 1.0 / s.m).sum()
+    """Sum of vertex densities plus trapezoid-rule edge integrals; a
+    one-sample edge (the limit system's level V_j) integrates to that sample
+    exactly."""
+    edge_mass = _trapezoid_rows(s.edges, 1.0 / max(s.m, 1)).sum()
     return float(s.rho.sum() + edge_mass)
 
 

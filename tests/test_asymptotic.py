@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from cityroad import kernels
 from cityroad.asymptotic import (
-    AsymptoticState,
     asymptotic_dispersion_eval,
     compute_c_star_inf,
     large_d_convergence_experiment,
     simulate_asymptotic,
-    step_asymptotic,
 )
 from cityroad.front_speed import estimate_speed, inner_deficit, outer_occupancy
 from cityroad.lattice_sim import InitialData, SimulationConfig
@@ -93,18 +92,22 @@ class TestCStarInf:
             compute_c_star_inf(Parameters(1, 1, 1, nonlinearity=logistic(0.0)))
 
 
+def step(V, P, dt, p):
+    """One RK4 step of the limit system: (V, P) after dt."""
+    V1, P1, _ = kernels.advance_asym(V, P, 1, dt, p.alpha, p.beta, p.fprime0)
+    return V1, P1
+
+
 class TestStep:
     def test_constant_fixed_point_interior(self, p):
         n = 25
-        s = AsymptoticState(-12, 12, np.ones(n - 1), np.ones(n), 0.0)
-        s1 = step_asymptotic(s, 0.01, p)
-        assert np.max(np.abs(s1.P[4:-4] - 1.0)) <= 1e-13
-        assert np.max(np.abs(s1.V[4:-4] - 1.0)) <= 1e-13
+        V1, P1 = step(np.ones(n - 1), np.ones(n), 0.01, p)
+        assert np.max(np.abs(P1[4:-4] - 1.0)) <= 1e-13
+        assert np.max(np.abs(V1[4:-4] - 1.0)) <= 1e-13
 
     def test_zero_state(self, p):
-        s = AsymptoticState(0, 8, np.zeros(8), np.zeros(9), 0.0)
-        s1 = step_asymptotic(s, 0.01, p)
-        assert np.all(s1.P == 0.0) and np.all(s1.V == 0.0)
+        V1, P1 = step(np.zeros(8), np.zeros(9), 0.01, p)
+        assert np.all(P1 == 0.0) and np.all(V1 == 0.0)
 
     def test_ordering_preserved(self, p):
         cfg = SimulationConfig(T=5.0, dt=0.01, m=8, c_upper_guess=1.0, snapshot_stride=50)
@@ -113,24 +116,19 @@ class TestStep:
         hi = simulate_asymptotic(InitialData.custom(np.full(9, 0.5), j_min=-4,
                                                     stationary_edges=True), cfg, p)
         for a, b in zip(lo.snapshots, hi.snapshots):
-            assert np.max(a.P - b.P) <= 1e-10
-            assert np.max(a.V - b.V) <= 1e-10
-            assert float(np.min(a.P)) >= -1e-12
+            assert a.edges.shape == (len(a.rho) - 1, 1)
+            assert np.max(a.rho - b.rho) <= 1e-10
+            assert np.max(a.edges - b.edges) <= 1e-10
+            assert float(np.min(a.rho)) >= -1e-12
 
     def test_stationary_relation_at_fixed_point(self, p):
         # V = beta/(2 alpha) (P_j + P_{j+1}) characterizes the steady state
         n = 15
         P = np.ones(n)
         V = p.beta / (2 * p.alpha) * (P[:-1] + P[1:])
-        s = AsymptoticState(-7, 7, V, P, 0.0)
-        s1 = step_asymptotic(s, 0.01, p)
-        assert np.allclose(s1.V[3:-3], p.beta / (2 * p.alpha) * (s1.P[3:-4] + s1.P[4:-3]),
+        V1, P1 = step(V, P, 0.01, p)
+        assert np.allclose(V1[3:-3], p.beta / (2 * p.alpha) * (P1[3:-4] + P1[4:-3]),
                            atol=1e-13)
-
-    def test_dt_cap(self, p):
-        s = AsymptoticState(0, 4, np.zeros(4), np.ones(5), 0.0)
-        with pytest.raises(ValueError):
-            step_asymptotic(s, 0.2, p)
 
 
 class TestMassAnalogue:

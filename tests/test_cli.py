@@ -265,7 +265,7 @@ class TestCommands:
         assert len(lines) == 2
         assert all(l.startswith("PASS") for l in lines)
 
-    @pytest.mark.parametrize("only", ["13", "0,99", ","])
+    @pytest.mark.parametrize("only", ["13", "0,99", ",", ""])
     def test_verify_rejects_unknown_criteria(self, only, capsys):
         # a selection that runs nothing must not pass
         assert main(["verify", "--only", only]) == 2
@@ -273,6 +273,27 @@ class TestCommands:
         assert out == ""
         assert err.splitlines() == [err.strip()]
         assert err.startswith("error: --only takes criterion numbers 1-12, got ")
+
+    def test_large_d_horizon_rejected_before_solving(self, tmp_path, monkeypatch, capsys):
+        # errors are measured on [1, largeD.T]: a horizon <= 1 is a config
+        # error, raised before the limit run solves or writes anything
+        def unexpected(*args, **kwargs):
+            raise AssertionError("solved before the config was rejected")
+
+        for name in ("compute_c_star", "compute_c_star_inf", "simulate_asymptotic",
+                     "large_d_convergence_experiment"):
+            monkeypatch.setattr(cli, name, unexpected)
+        out = tmp_path / "out"
+        for horizon in ("0.5", "1"):
+            argv = ["asymptotic", "--set", "largeD.eps_values=0.1", "--set", f"largeD.T={horizon}",
+                    "--set", "simulation.T=5", "--set", "simulation.dt=0.01", *outdir_arg(out)]
+            assert main(argv) == 2
+            stdout, err = capsys.readouterr()
+            assert stdout == ""
+            assert err == "error: largeD.T must be > 1: errors are measured on [1, T]\n"
+        assert not out.exists()
+        # without eps values the horizon is unused and not checked
+        assert parse_config(None, ["largeD.T=0.5"]).raw["largeD.T"] == 0.5
 
     def test_asymptotic_reaction_free_reports_contamination(self, tmp_path, capsys):
         code = main(["asymptotic", "--set", "parameters.fprime0=0",
@@ -383,7 +404,7 @@ class TestWriter:
                     for j, row in zip(range(-1, 2), edges.tolist())
                     for xi, x in zip(("0", "0.5", "1"), row)])
         V, P = np.array(self.VALUES[:3]), np.array(self.VALUES[::-1])
-        self.check(csvout.asym_block, self.snapshot(V=V, P=P),
+        self.check(csvout.asym_block, self.snapshot(edges=V[:, None], rho=P),
                    [("0.25", str(j), format(v, ".17g"), format(pj, ".17g"))
                     for j, v, pj in zip(range(-1, 3), [*V.tolist(), math.nan], P.tolist())])
 

@@ -279,7 +279,7 @@ class TestSupersolutionDomination:
         vstar = profile_v_star(x, res, p)
         for k, j in enumerate(s0.js):
             theta = max(theta, s0.rho[k] / math.exp(-res.mu_star * j))
-            if k < s0.n_edges:
+            if k < len(s0.edges):
                 theta = max(theta, float(np.max(s0.edges[k] / (math.exp(-res.mu_star * j) * vstar))))
         theta *= 1.0 + 1e-9
         for s in traj.snapshots:

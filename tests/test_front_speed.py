@@ -3,7 +3,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from cityroad.asymptotic import AsymptoticState
 from cityroad.front_speed import (
     NoCrossingError,
     estimate_speed,
@@ -13,13 +12,14 @@ from cityroad.front_speed import (
     outer_occupancy,
 )
 from cityroad.lattice_sim import Trajectory
+from cityroad.model import LatticeState
 
 
 @dataclass
 class FakeSnapshot:
     time: float
     j_min: int
-    densities: np.ndarray
+    rho: np.ndarray
 
 
 @dataclass
@@ -116,12 +116,12 @@ class TestDichotomyChecks:
         P = np.where(js <= 0, 1.0, 0.0)
         P_final = P.copy()
         P_final[18] = 0.25
-        final = AsymptoticState(-10, 10, np.zeros(20), P_final, 10.0)
-        started_left = Trajectory((AsymptoticState(-10, 10, np.zeros(20), P, 0.0), final),
+        final = LatticeState(-10, 10, P_final, np.zeros((20, 1)), 10.0)
+        started_left = Trajectory((LatticeState(-10, 10, P, np.zeros((20, 1)), 0.0), final),
                                   np.zeros(2), False, 0.0)
         assert outer_occupancy(started_left, 0.5, factor=1.2) == 0.25
         # the same final state from a start empty at both ends: both sides scanned
-        started_empty = Trajectory((AsymptoticState(-10, 10, np.zeros(20), np.zeros(21), 0.0),
+        started_empty = Trajectory((LatticeState(-10, 10, np.zeros(21), np.zeros((20, 1)), 0.0),
                                     final), np.zeros(2), False, 0.0)
         assert outer_occupancy(started_empty, 0.5, factor=1.2) == 1.0
 
@@ -135,9 +135,8 @@ class TestDichotomyChecks:
         V[6:14] = 1.0  # edges inside |j| <= 4
         V[10] = 0.7  # edge (0, 1), inside the inner cutoff 0.8 * 0.5 * 10 = 4
         V[18] = 0.25  # edge (8, 9), past the outer cutoff 1.2 * 0.5 * 10 = 6
-        snaps = (AsymptoticState(-10, 10, np.zeros(20), np.zeros(21), 0.0),
-                 AsymptoticState(-10, 10, V, P, 10.0))
-        assert snaps[1].edges.shape == (20, 1)
+        snaps = (LatticeState(-10, 10, np.zeros(21), np.zeros((20, 1)), 0.0),
+                 LatticeState(-10, 10, P, V[:, None], 10.0))
         traj = Trajectory(snaps, np.zeros(2), False, 0.0)
         assert outer_occupancy(traj, 0.5, factor=1.2) == 0.25
         assert inner_deficit(traj, params_unit, 0.5, factor=0.8) == pytest.approx(0.3, abs=1e-15)

@@ -13,10 +13,11 @@ from cityroad.lattice_sim import (
     Trajectory,
     compatibility_residual,
     init_state,
+    run_system,
     simulate,
-    step_system,
     stiffness_dt_cap,
 )
+from cityroad.edge_solver import assemble_step_operator
 from cityroad.model import (
     LatticeState,
     Parameters,
@@ -37,12 +38,11 @@ def p():
 DRIVERS = (simulate, simulate_asymptotic)
 
 
-def in_window_mass(state):
-    """The mass each system's series starts from: total_mass for the coupled
-    system, the sum V + P for the limit system."""
-    if isinstance(state, LatticeState):
-        return total_mass(state)
-    return float(state.V.sum() + state.P.sum())
+def step(s, dt, p):
+    """One IMEX step of the coupled system from snapshot ``s``."""
+    op = assemble_step_operator(s.m, dt, p)
+    v, rho, _ = kernels.advance_lattice(s.edges, s.rho, 1, dt, p.alpha, p.beta, p.fprime0, op)
+    return LatticeState(s.j_min, s.j_max, rho, v, s.time + dt)
 
 
 def steady_state(p, n=21, m=16):
@@ -165,32 +165,63 @@ class TestInitialDataArrays:
 
 class TestStepSystem:
     def test_constant_fixed_point_interior(self, p):
-        s = steady_state(p)
-        s1 = step_system(s, 1e-3, p)
+        s1 = step(steady_state(p), 1e-3, p)
         assert np.max(np.abs(s1.rho[3:-3] - 1.0)) <= 1e-12
         assert np.max(np.abs(s1.edges[3:-3] - 1.0)) <= 1e-12
 
     def test_zero_state_stays_zero(self, p):
         n = 9
         s = LatticeState(0, n - 1, np.zeros(n), np.zeros((n - 1, 9)), 0.0)
-        s1 = step_system(s, 1e-3, p)
+        s1 = step(s, 1e-3, p)
         assert np.all(s1.rho == 0.0)
         assert np.all(s1.edges == 0.0)
 
-    def test_blow_up_detected(self):
-        # dt far past the explicit stability limit makes the exchange mode grow
-        p = Parameters(1.0, 1.0, 1.0, nonlinearity=logistic(0.0))
-        n = 9
-        rho = np.full(n, 1.0)
-        s = LatticeState(0, n - 1, rho, np.zeros((n - 1, 9)), 0.0)
-        with pytest.raises(BlowUpError):
-            st = s
-            for _ in range(50):
-                st = step_system(st, 15.0, p)
 
-    def test_time_advances(self, p):
-        s = steady_state(p)
-        assert step_system(s, 1e-3, p).time == pytest.approx(1e-3)
+class TestRunSystem:
+    """The driver's own checks, with the advance injected."""
+
+    @staticmethod
+    def run(p, v, rho, advance, T=0.1, dt=0.01):
+        cfg = SimulationConfig(T=T, dt=dt, m=8, c_upper_guess=1.0, snapshot_stride=1)
+        n = len(rho)
+        return run_system(cfg, p, v, rho, advance,
+                          lambda v, rho, t: LatticeState(0, n - 1, rho, v, t))
+
+    @pytest.mark.parametrize("bad", [10.5, math.nan])
+    @pytest.mark.parametrize("where", ["rho", "edges"])
+    def test_blow_up_detected(self, p, bad, where):
+        # threshold 10 max(beta/alpha, 1, |v0|, |rho0|) = 10; a NaN passes
+        # every bound comparison, so the blow-up check is its only guard
+        v0, rho0 = np.zeros((8, 9)), np.full(9, 0.5)
+
+        def advance(v, rho, n):
+            v, rho = v.copy(), rho.copy()
+            (rho if where == "rho" else v)[4] = bad
+            return v, rho, 0.0
+
+        with pytest.raises(BlowUpError):
+            self.run(p, v0, rho0, advance)
+
+    def test_occupied_ends_are_not_contamination(self, p):
+        # the steady state fills the window: both ends start occupied and stay
+        # so, which is not a front reaching an empty end
+        s0 = steady_state(p, m=8)
+        op = assemble_step_operator(8, 0.01, p)
+        traj = self.run(p, s0.edges, s0.rho, lambda v, rho, n: kernels.advance_lattice(
+            v, rho, n, 0.01, p.alpha, p.beta, p.fprime0, op))
+        assert traj.final.rho[0] > 0.5 and traj.final.rho[-1] > 0.5
+        assert not traj.contaminated
+
+    def test_left_block_checks_its_right_end_only(self, p):
+        # the filled left end never counts; an undersized window is caught
+        # when the front reaches the empty right end
+        for c_up, flagged in ((1.0, False), (0.05, True)):
+            cfg = SimulationConfig(T=5.0, dt=2.5e-3, m=8, c_upper_guess=c_up)
+            traj = simulate(InitialData.left_block(), cfg, p)
+            assert traj.snapshots[0].rho[0] == 1.0 and traj.snapshots[0].rho[-1] == 0.0
+            assert traj.final.rho[0] > 0.1  # drained by the absorbing exterior, far from empty
+            assert traj.contaminated == flagged
+            assert (traj.final.rho[-1] > 1e-8 * np.max(traj.final.rho)) == flagged
 
 
 class TestSimulate:
@@ -259,7 +290,7 @@ class TestSimulate:
         n = 17
         prev = LatticeState(-8, 8, np.ones(n), np.ones((n - 1, 17)), 0.0)
         for _ in range(100):
-            nxt = step_system(prev, 2.5e-3, p)
+            nxt = step(prev, 2.5e-3, p)
             assert np.max(nxt.rho - prev.rho) <= 1e-12
             assert np.max(nxt.edges - prev.edges) <= 1e-12
             prev = nxt
@@ -291,8 +322,8 @@ class TestSimulate:
         for run in DRIVERS:
             traj = run(InitialData.point_mass(0, 0.5), cfg, p)
             # at t=0 there is no leak yet
-            assert traj.mass[0] == in_window_mass(traj.snapshots[0])
-            assert traj.mass[-1] >= in_window_mass(traj.final) - 1e-12
+            assert traj.mass[0] == total_mass(traj.snapshots[0])
+            assert traj.mass[-1] >= total_mass(traj.final) - 1e-12
 
 
 class TestKernelLookup:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cityroad.lattice_sim import compatibility_residual
 from cityroad.model import (
     LatticeState,
     NonlinearityDescriptor,
@@ -113,6 +114,14 @@ class TestTotalMass:
         s3 = LatticeState(0, 4, 2.0 * rho, 2.0 * edges, 0.0)
         assert total_mass(s3) == pytest.approx(2.0 * total_mass(s1), rel=1e-14)
 
+    def test_one_sample_edges_are_their_level(self):
+        # the limit system's roads hold one level V_j each: the mass is P + V
+        rng = np.random.default_rng(4)
+        rho, V = rng.uniform(0, 1, 7), rng.uniform(0, 1, 6)
+        s = LatticeState(-3, 3, rho, V[:, None], 0.0)
+        assert s.m == 0
+        assert total_mass(s) == float(rho.sum() + V.sum())
+
 
 class TestStationary:
     def test_constant_one_gives_beta_over_alpha(self, params_unit):
@@ -186,6 +195,13 @@ class TestContainers:
             LatticeState(0, 2, np.ones(3), np.ones((1, 9)), 0.0)  # edge count
         with pytest.raises(ValueError):
             LatticeState(0, 1, np.array([1.0, np.nan]), np.ones((1, 9)), 0.0)
+
+    def test_edge_sample_counts(self, params_unit):
+        with pytest.raises(ValueError, match="at least one sample"):
+            LatticeState(0, 2, np.ones(3), np.ones((2, 0)), 0.0)
+        two_samples = LatticeState(0, 2, np.ones(3), np.ones((2, 2)), 0.0)
+        with pytest.raises(ValueError, match=">= 3 samples"):
+            compatibility_residual(two_samples, params_unit)
 
     def test_states_are_immutable(self):
         s = make_state([0.5, 0.5, 0.5])
