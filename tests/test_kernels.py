@@ -158,17 +158,30 @@ class TestBitIdentical:
     @pytest.mark.parametrize("nsteps", [1, 37, 500])
     @pytest.mark.parametrize("n_vertices", [2, 13, 101])
     def test_lattice(self, rate, nsteps, n_vertices):
+        self.check_lattice(8, n_vertices, nsteps, rate)
+
+    def test_lattice_default_shape(self):
+        # The default run's product, (100, 35) @ (35, 33), with the loads
+        # written through strided columns of the step buffers.
+        self.check_lattice(32, 101, 500, 1.0)
+
+    def test_lattice_input_layouts(self):
+        # A Fortran-ordered v and a list rho step as their C-ordered arrays.
+        self.check_lattice(8, 13, 37, 2.5, layout=lambda v, rho: (np.asfortranarray(v),
+                                                                  list(rho)))
+
+    def check_lattice(self, m, n_vertices, nsteps, rate, layout=lambda v, rho: (v, rho)):
         rng = np.random.default_rng(n_vertices + nsteps)
         p = Parameters(self.ALPHA, self.BETA, 2.0, nonlinearity=logistic(rate))
-        m = 8
         op = assemble_step_operator(m, self.DT, p)
         v0 = rng.uniform(0.0, 1.0, (n_vertices - 1, m + 1))
         rho0 = rng.uniform(0.0, 1.0, n_vertices)
+        v_in, rho_in = layout(v0, rho0)
         v0_in, rho0_in = v0.copy(), rho0.copy()
         args = (nsteps, self.DT, p.alpha, p.beta, p.fprime0, op)
-        v, rho, leak = kernels.advance_lattice(v0, rho0, *args)
+        v, rho, leak = kernels.advance_lattice(v_in, rho_in, *args)
         v_ref, rho_ref, leak_ref = lattice_reference(v0, rho0, *args)
-        assert np.array_equal(v0, v0_in) and np.array_equal(rho0, rho0_in)
+        assert np.array_equal(v_in, v0_in) and np.array_equal(rho_in, rho0_in)
         assert np.array_equal(v, v_ref)
         assert np.array_equal(rho, rho_ref)
         assert leak == leak_ref
@@ -177,14 +190,28 @@ class TestBitIdentical:
     @pytest.mark.parametrize("nsteps", [1, 37, 500])
     @pytest.mark.parametrize("n_vertices", [2, 13, 101])
     def test_asym(self, rate, nsteps, n_vertices):
+        self.check_asym(n_vertices, nsteps, rate)
+
+    @pytest.mark.parametrize("dt", [2.5e-3, 1e-2])
+    def test_asym_inexact_sixth(self, dt):
+        # dt / 6 differs from dt * (1 / 6) here, unlike at dt = 1e-3.
+        self.check_asym(13, 37, 2.5, dt=dt)
+
+    def test_asym_strided_views(self):
+        # V and P as strided views into larger buffers.
+        self.check_asym(13, 37, 2.5, layout=lambda V, P: (np.repeat(V, 2)[::2],
+                                                          np.repeat(P, 3)[1::3]))
+
+    def check_asym(self, n_vertices, nsteps, rate, dt=DT, layout=lambda V, P: (V, P)):
         rng = np.random.default_rng(n_vertices + nsteps)
         V0 = rng.uniform(0.0, 1.0, n_vertices - 1)
         P0 = rng.uniform(0.0, 1.0, n_vertices)
+        V_in, P_in = layout(V0, P0)
         V0_in, P0_in = V0.copy(), P0.copy()
-        args = (nsteps, self.DT, self.ALPHA, self.BETA, rate)
-        V, P, leak = kernels.advance_asym(V0, P0, *args)
+        args = (nsteps, dt, self.ALPHA, self.BETA, rate)
+        V, P, leak = kernels.advance_asym(V_in, P_in, *args)
         V_ref, P_ref, leak_ref = asym_reference(V0, P0, *args)
-        assert np.array_equal(V0, V0_in) and np.array_equal(P0, P0_in)
+        assert np.array_equal(V_in, V0_in) and np.array_equal(P_in, P0_in)
         assert np.array_equal(V, V_ref)
         assert np.array_equal(P, P_ref)
         assert leak == leak_ref
