@@ -8,12 +8,14 @@ For each workload, pair ``i`` runs ``perfbench/run.py --seed seed0+i`` in
 both checkouts, the parent first in even pairs and the change first in odd
 ones.  One more pair at ``seed0+pairs`` runs traced (``--trace 1``) for the
 per-layer numbers.  Each checkout runs its own ``perfbench/`` on its own
-``src``.  Then ``cityroad verify`` runs once in each checkout, timed.
+``src``.  Then ``cityroad verify`` and the Tier-1 suite (``python -m pytest
+-q --continue-on-collection-errors``) run once in each checkout, timed.
 
 The record holds every run's last-line JSON; per workload and metric the
 median and quartiles (numpy linear interpolation) of each side and
 ``change_lower``, the pairs in which the change's value is lower; the verify
-wall times; and the machine: CPUs, CPU model, Python, numpy, BLAS, the
+and Tier-1 wall times, the latter with the counts of pytest's summary line;
+and the machine: CPUs, CPU model, Python, numpy, BLAS, the
 ``OPENBLAS_NUM_THREADS`` and ``PYTHONDONTWRITEBYTECODE`` settings and the
 load average at start and end.  The exit status is 1 if any run reported
 ``correct: false`` or printed no result, else 0.
@@ -25,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -33,6 +36,8 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+_COUNT = re.compile(r"(\d+) ([a-z]+)")
 
 
 def last_json_line(stdout: str) -> dict | None:
@@ -45,6 +50,16 @@ def last_json_line(stdout: str) -> dict | None:
     except json.JSONDecodeError:
         return None
     return result if isinstance(result, dict) else None
+
+
+def pytest_counts(stdout: str) -> dict:
+    """The counts on pytest's last summary line (``"2 failed, 319 passed in
+    39.80s"`` gives ``{"failed": 2, "passed": 319}``), or {} without one."""
+    lines = [line for line in stdout.splitlines() if _COUNT.match(line.strip("= "))]
+    if not lines:
+        return {}
+    counts = lines[-1].strip("= ").rsplit(" in ", 1)[0]
+    return {word: int(n) for n, word in _COUNT.findall(counts)}
 
 
 def _stats(values) -> dict:
@@ -134,6 +149,15 @@ def _time_verify(root: Path) -> dict:
             "passed": sum(line.startswith("PASS") for line in lines), "criteria": len(lines)}
 
 
+def _time_tier1(root: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    return {"wall_s": round(wall, 3), "exit": proc.returncode, **pytest_counts(proc.stdout)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -162,6 +186,7 @@ def main(argv=None) -> int:
                       f"{'no result' if result is None else 'correct=' + str(result['correct'])}",
                       file=sys.stderr, flush=True)
     verify = {side: _time_verify(roots[side]) for side in SIDES}
+    tier1 = {side: _time_tier1(roots[side]) for side in SIDES}
     record = {
         "command": ["python3", "scripts/bench_pairs.py", "--workloads", *args.workloads,
                     "--pairs", str(args.pairs), "--seed0", str(args.seed0),
@@ -172,6 +197,7 @@ def main(argv=None) -> int:
                     "loadavg_end": os.getloadavg()},
         "summary": summarize(runs),
         "verify": verify,
+        "tier1": tier1,
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

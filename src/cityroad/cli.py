@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -80,7 +80,6 @@ _SCHEMA = {
     "simulation.T": (float, 50.0),
     "simulation.dt": (float, 1e-3),
     "simulation.m": (int, 32),
-    "simulation.margin": (int, 4),
     "simulation.stride": (int, 0),
     "simulation.c_upper": (float, 0.0),  # 0 = automatic
     "initial.kind": (str, "left_block"),
@@ -126,7 +125,6 @@ class ExperimentConfig:
             T=self.raw["simulation.T"],
             dt=self.raw["simulation.dt"],
             m=self.raw["simulation.m"],
-            window_margin=self.raw["simulation.margin"],
             snapshot_stride=self.raw["simulation.stride"],
             c_upper_guess=None if c_up == 0 else c_up,
         )
@@ -174,6 +172,9 @@ class ExperimentConfig:
                 raise ConfigError("largeD.eps_values must be positive")
         if self.raw["largeD.eps_values"] and not self.raw["largeD.T"] > 1.0:
             raise ConfigError("largeD.T must be > 1: errors are measured on [1, T]")
+        if self.raw["largeD.eps_values"] and not self.raw["parameters.fprime0"] > 0:
+            raise ConfigError("largeD.eps_values needs parameters.fprime0 > 0: "
+                              "the convergence experiment's window is sized from c*_inf")
 
 
 def _apply_assignment(raw: dict, key: str, value: str, where: str):
@@ -336,19 +337,20 @@ def _sweep_point(args):
     return (name, value, theory, trace.fitted_speed, rel, "ok"), traj.contaminated, None
 
 
-def _cmd_sweep(cfg: ExperimentConfig, parallel: bool = False) -> int:
-    """Run every point and write all of their rows; then the first failed
-    point's error (in sweep order) decides the exit code."""
+def _cmd_sweep(cfg: ExperimentConfig) -> int:
+    """Run every point in a pool of up to one process per CPU and write all
+    of their rows; then the first failed point's error (in sweep order)
+    decides the exit code.  A killed worker raises BrokenProcessPool (exit 4)."""
+    # imported here: only the sweep needs it, and it costs every other command's startup
+    from concurrent.futures import ProcessPoolExecutor
+
     name = cfg.raw["sweep.parameter"]
     values = cfg.raw["sweep.values"]
     if not values:
         raise ConfigError("sweep.values is empty: nothing to sweep")
     jobs = [(cfg.raw, name, v) for v in values]
-    if parallel and len(jobs) > 1:
-        with ProcessPoolExecutor() as pool:
-            results = list(pool.map(_sweep_point, jobs))
-    else:
-        results = [_sweep_point(job) for job in jobs]
+    with ProcessPoolExecutor(min(len(jobs), os.cpu_count() or 1)) as pool:
+        results = list(pool.map(_sweep_point, jobs))
     write_csv(cfg.outdir / "sweep.csv",
               ["param", "value", "c_theory", "c_measured", "rel_error", "status"],
               row_lines(row for row, _, _ in results))
@@ -367,17 +369,29 @@ def _cmd_sweep(cfg: ExperimentConfig, parallel: bool = False) -> int:
     return 1 if contaminated else 0
 
 
-def _cmd_verify(only: list[int] | None) -> int:
+def _cmd_verify(only: str | None) -> int:
     from .acceptance import CRITERIA, run_criteria
 
+    selected = None
     if only is not None:
         numbers = [number for number, _, _ in CRITERIA]
-        unknown = ",".join(str(n) for n in only if n not in numbers)
-        if unknown or not only:
+        parts = [x.strip() for x in only.split(",") if x.strip()]
+        unknown = ",".join(x for x in parts if not x.isdecimal() or int(x) not in numbers)
+        if unknown or not parts:
             raise ConfigError(f"--only takes criterion numbers {numbers[0]}-{numbers[-1]}, "
                               f"got {unknown or 'none'}")
-    results = run_criteria(only=only)
+        selected = [int(x) for x in parts]
+    results = run_criteria(only=selected)
     return 0 if all(r.passed for r in results) else 1
+
+
+# name -> (help, command) of every command that runs from the config
+_COMMANDS = {
+    "speed": ("dispersion scan and spreading speeds", _cmd_speed),
+    "simulate": ("run the coupled system and measure the front", _cmd_simulate),
+    "asymptotic": ("run the large-diffusion limit system", _cmd_asymptotic),
+    "sweep": ("theory vs measured speed over a parameter sweep", _cmd_sweep),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -386,42 +400,20 @@ def main(argv: list[str] | None = None) -> int:
         description="City-road lattice invasion model: simulation and spreading speeds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("speed", "dispersion scan and spreading speeds"),
-        ("simulate", "run the coupled system and measure the front"),
-        ("asymptotic", "run the large-diffusion limit system"),
-        ("sweep", "theory vs measured speed over a parameter sweep"),
-        ("verify", "run the acceptance suite"),
-    ]:
+    for name, (helptext, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
-        if name != "verify":
-            sp.add_argument("--config", default=None, help="path to key=value config file")
-            sp.add_argument("--set", dest="sets", action="append", default=[],
-                            metavar="KEY=VALUE", help="override one config key")
-        if name == "sweep":
-            sp.add_argument("--parallel", action="store_true",
-                            help="run sweep points in parallel processes")
-        if name == "verify":
-            sp.add_argument("--only", default=None,
-                            help="comma-separated criterion numbers to run")
+        sp.add_argument("--config", default=None, help="path to key=value config file")
+        sp.add_argument("--set", dest="sets", action="append", default=[],
+                        metavar="KEY=VALUE", help="override one config key")
+    sub.add_parser("verify", help="run the acceptance suite").add_argument(
+        "--only", default=None, help="comma-separated criterion numbers to run")
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            only = None
-            if args.only is not None:
-                only = [int(x) for x in args.only.split(",") if x.strip()]
-            return _cmd_verify(only)
+            return _cmd_verify(args.only)
         cfg = parse_config(args.config, args.sets)
         cfg.outdir.mkdir(parents=True, exist_ok=True)  # before anything is solved
-        if args.command == "speed":
-            return _cmd_speed(cfg)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg)
-        if args.command == "asymptotic":
-            return _cmd_asymptotic(cfg)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg, parallel=args.parallel)
-        raise AssertionError(args.command)
+        return _COMMANDS[args.command][1](cfg)
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         message = " ".join(str(exc).split())
         print(f"error: {message}", file=sys.stderr)

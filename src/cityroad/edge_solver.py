@@ -7,7 +7,7 @@ Advances one road equation, dv/dt = d v_xx on (0, 1) with
 
 by Crank-Nicolson with time-averaged loads.  The Laplacian is one dense
 array whose end rows take the Robin condition by second-order ghost-node
-elimination; the step is precomputed once per (m, dt, d, alpha) as a dense
+elimination; the step is precomputed for one (m, dt, d, alpha) as a dense
 propagator plus two load columns, so advancing any number of edges is one
 matrix product.  Two independent verification tools live here as well: the
 manufactured-solution error harness and a heat-kernel integral-equation
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,17 +63,22 @@ class StepOperator:
         return np.matmul(w, self.step_matrix)
 
 
-@lru_cache(maxsize=64)
-def _assemble_cached(m: int, dt: float, d: float, alpha: float) -> StepOperator:
+def assemble_step_operator(m: int, dt: float, p: Parameters) -> StepOperator:
+    """Build the Crank-Nicolson operators for m interior intervals and step dt."""
+    if m < 2:
+        raise ValueError("need m >= 2")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError("dt must be positive and finite")
+    dt = float(dt)
     dx = 1.0 / m
-    r = d / dx**2
+    r = p.d / dx**2
     n = m + 1
     # Ghost-node elimination: from -d (v1 - v_-1)/(2 dx) + alpha v0 = g one gets
     # v_-1 = v1 + (2 dx / d)(g - alpha v0), so the end rows carry a doubled
     # neighbor, an extra -2 alpha/dx decay, and a (2/dx) g load (mirrored at m).
     lap = r * (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1))
     lap[0, 1] = lap[n - 1, n - 2] = 2.0 * r
-    lap[0, 0] = lap[n - 1, n - 1] = -2.0 * r - 2.0 * alpha / dx
+    lap[0, 0] = lap[n - 1, n - 1] = -2.0 * r - 2.0 * p.alpha / dx
     half = 0.5 * dt
     im = np.eye(n) - half * lap
     loads = np.zeros((n, 2))
@@ -90,15 +94,6 @@ def _assemble_cached(m: int, dt: float, d: float, alpha: float) -> StepOperator:
     step_matrix = np.ascontiguousarray(solved.T)
     step_matrix.setflags(write=False)
     return StepOperator(m, dt, step_matrix)
-
-
-def assemble_step_operator(m: int, dt: float, p: Parameters) -> StepOperator:
-    """Build the Crank-Nicolson operators for m interior intervals and step dt."""
-    if m < 2:
-        raise ValueError("need m >= 2")
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError("dt must be positive and finite")
-    return _assemble_cached(m, float(dt), p.d, p.alpha)
 
 
 def manufactured_profile(t: float, x, p: Parameters):

@@ -49,6 +49,8 @@ __all__ = [
 # relative to max(1, initial maximum) on each upper bound.
 _BOUND_TOL = 1e-9
 _CONTAMINATION_FACTOR = 1e-8
+# Empty vertices added on each side of the window beyond ceil(c_upper T).
+_WINDOW_MARGIN = 4
 
 
 class BlowUpError(RuntimeError):
@@ -107,14 +109,13 @@ class InitialData:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Run controls: final time, step, per-edge resolution, window margin,
-    snapshot stride (0 = about 200 snapshots), and the speed bound used to
-    size the window (None = 1.5x the computed spreading speed)."""
+    """Run controls: final time, step, per-edge resolution, snapshot stride
+    (0 = about 200 snapshots), and the speed bound used to size the window
+    (None = 1.5x the computed spreading speed)."""
 
     T: float
     dt: float = 1e-3
     m: int = 32
-    window_margin: int = 4
     snapshot_stride: int = 0
     c_upper_guess: float | None = None
 
@@ -125,8 +126,6 @@ class SimulationConfig:
             raise ValueError("dt must be positive")
         if self.m < 2:
             raise ValueError("need m >= 2")
-        if self.window_margin < 4:
-            raise ValueError("window margin must be >= 4")
         if self.snapshot_stride < 0:
             raise ValueError("snapshot stride must be >= 0")
         c_up = self.c_upper_guess
@@ -172,9 +171,9 @@ def default_c_upper(p: Parameters, c_star: float | None = None) -> float:
 
 def init_state(data: InitialData, cfg: SimulationConfig, p: Parameters) -> LatticeState:
     """Realize initial data on a window covering the whole vertex array plus
-    ceil(c_upper * T) + margin vertices on each side."""
+    ceil(c_upper * T) + _WINDOW_MARGIN vertices on each side."""
     c_up = cfg.c_upper_guess if cfg.c_upper_guess is not None else default_c_upper(p)
-    reach = math.ceil(c_up * cfg.T) + cfg.window_margin
+    reach = math.ceil(c_up * cfg.T) + _WINDOW_MARGIN
     n_data = len(data.rho_values)
     j_min, j_max = data.j_min - reach, data.j_min + n_data - 1 + reach
     rho = np.zeros(j_max - j_min + 1)

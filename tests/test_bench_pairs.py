@@ -32,6 +32,19 @@ class TestLastJsonLine:
         assert bench_pairs.last_json_line(text) is None
 
 
+class TestPytestCounts:
+    @pytest.mark.parametrize("text,counts", [
+        ("....\n321 passed in 39.80s\n", {"passed": 321}),
+        ("F.\nFAILED tests/test_x.py::test_y - 2 != 3\n"
+         "2 failed, 319 passed, 1 warning in 41.02s\n",
+         {"failed": 2, "passed": 319, "warning": 1}),
+        ("===== 1 error, 3 skipped in 0.50s =====\n", {"error": 1, "skipped": 3}),
+        ("Traceback ...\n", {}),
+    ])
+    def test_summary_line(self, text, counts):
+        assert bench_pairs.pytest_counts(text) == counts
+
+
 class TestSummarize:
     PARENT = [2.0, 2.4, 2.2, 2.6]
     CHANGE = [1.5, 1.7, 2.3, 1.6]

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -178,15 +179,14 @@ class TestCommands:
         args = ["sweep", "--set", "sweep.parameter=fprime0", "--set", "sweep.values=1,0.01",
                 "--set", "simulation.T=10", "--set", "simulation.m=8",
                 "--set", "simulation.dt=0.002"]
-        for extra in ([], ["--parallel"]):
-            proc = run_cli(args + extra, tmp_path)
-            assert proc.returncode == 5, proc.stderr
-            assert_one_line_error(proc, "no downward threshold crossing")
-            rows = [l.split(",") for l in
-                    (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]]
-            assert [(r[1], r[5]) for r in rows] == [("1", "ok"), ("0.01", "NoCrossingError")]
-            assert float(rows[0][3]) > 0 and rows[1][3:5] == ["nan", "nan"]
-            assert "fprime0=0.01 status=NoCrossingError" in proc.stdout.splitlines()
+        proc = run_cli(args, tmp_path)
+        assert proc.returncode == 5, proc.stderr
+        assert_one_line_error(proc, "no downward threshold crossing")
+        rows = [l.split(",") for l in
+                (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]]
+        assert [(r[1], r[5]) for r in rows] == [("1", "ok"), ("0.01", "NoCrossingError")]
+        assert float(rows[0][3]) > 0 and rows[1][3:5] == ["nan", "nan"]
+        assert "fprime0=0.01 status=NoCrossingError" in proc.stdout.splitlines()
 
     def test_simulate_default_run_invades_center(self, tmp_path, capsys):
         # default config: left block, T=50; by then the front is well past the
@@ -201,17 +201,24 @@ class TestCommands:
         assert central
         assert max(abs(v - 1.0) for v in central) <= 0.02
 
-    def test_sweep_parallel_matches_serial(self, tmp_path):
+    def test_sweep_is_deterministic(self, tmp_path):
+        # the points run in worker processes; two sweeps give the same bytes
         args = ["sweep", "--set", "sweep.parameter=alpha", "--set", "sweep.values=0.8,1.2",
                 "--set", "simulation.T=20", "--set", "simulation.m=8",
                 "--set", "simulation.dt=0.002"]
-        proc = run_cli(args, tmp_path)
+        tables = []
+        for _ in range(2):
+            proc = run_cli(args, tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            tables.append((tmp_path / "out" / "sweep.csv").read_bytes())
+        assert tables[0] == tables[1]
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # only the sweep starts worker processes, so only it imports the pool
+        code = "import sys, cityroad.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        serial = (tmp_path / "out" / "sweep.csv").read_bytes()
-        proc = run_cli(args + ["--parallel"], tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        parallel = (tmp_path / "out" / "sweep.csv").read_bytes()
-        assert serial == parallel
+        assert proc.stdout == "False\n"
 
     def test_config_error_exit_code(self, tmp_path):
         proc = run_cli(["simulate", "--set", "parameters.alpha=-2"], tmp_path)
@@ -265,7 +272,7 @@ class TestCommands:
         assert len(lines) == 2
         assert all(l.startswith("PASS") for l in lines)
 
-    @pytest.mark.parametrize("only", ["13", "0,99", ",", ""])
+    @pytest.mark.parametrize("only", ["13", "0,99", ",", "", "1,x"])
     def test_verify_rejects_unknown_criteria(self, only, capsys):
         # a selection that runs nothing must not pass
         assert main(["verify", "--only", only]) == 2
@@ -274,15 +281,19 @@ class TestCommands:
         assert err.splitlines() == [err.strip()]
         assert err.startswith("error: --only takes criterion numbers 1-12, got ")
 
-    def test_large_d_horizon_rejected_before_solving(self, tmp_path, monkeypatch, capsys):
-        # errors are measured on [1, largeD.T]: a horizon <= 1 is a config
-        # error, raised before the limit run solves or writes anything
+    @staticmethod
+    def forbid_solving(monkeypatch):
         def unexpected(*args, **kwargs):
             raise AssertionError("solved before the config was rejected")
 
         for name in ("compute_c_star", "compute_c_star_inf", "simulate_asymptotic",
                      "large_d_convergence_experiment"):
             monkeypatch.setattr(cli, name, unexpected)
+
+    def test_large_d_horizon_rejected_before_solving(self, tmp_path, monkeypatch, capsys):
+        # errors are measured on [1, largeD.T]: a horizon <= 1 is a config
+        # error, raised before the limit run solves or writes anything
+        self.forbid_solving(monkeypatch)
         out = tmp_path / "out"
         for horizon in ("0.5", "1"):
             argv = ["asymptotic", "--set", "largeD.eps_values=0.1", "--set", f"largeD.T={horizon}",
@@ -294,6 +305,23 @@ class TestCommands:
         assert not out.exists()
         # without eps values the horizon is unused and not checked
         assert parse_config(None, ["largeD.T=0.5"]).raw["largeD.T"] == 0.5
+
+    def test_large_d_without_reaction_rejected_before_solving(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # the convergence experiment needs c*_inf, which needs f'(0) > 0: the
+        # pair is a config error before the limit run solves or writes anything
+        self.forbid_solving(monkeypatch)
+        out = tmp_path / "out"
+        argv = ["asymptotic", "--set", "parameters.fprime0=0", "--set", "largeD.eps_values=0.1",
+                "--set", "simulation.T=5", "--set", "simulation.dt=0.01", *outdir_arg(out)]
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == ("error: largeD.eps_values needs parameters.fprime0 > 0: "
+                       "the convergence experiment's window is sized from c*_inf\n")
+        assert not out.exists()
+        # without eps values a reaction-free limit run is admitted
+        assert parse_config(None, ["parameters.fprime0=0"]).parameters.fprime0 == 0.0
 
     def test_asymptotic_reaction_free_reports_contamination(self, tmp_path, capsys):
         code = main(["asymptotic", "--set", "parameters.fprime0=0",
@@ -354,9 +382,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: " + " ".join(str(exc).split()) + "\n"
 
-    @pytest.mark.parametrize("extra", [[], ["--parallel"]])
-    def test_sweep_point_out_of_memory_keeps_every_row(self, extra, tmp_path, monkeypatch,
-                                                       capsys):
+    def test_sweep_point_out_of_memory_keeps_every_row(self, tmp_path, monkeypatch, capsys):
         # a window too large to allocate fails its own point only: every row
         # is written, and the failure keeps its exit code
         real = cli.simulate
@@ -370,13 +396,24 @@ class TestExitCodes:
         out = tmp_path / "out"
         args = ["sweep", "--set", "sweep.parameter=fprime0", "--set", "sweep.values=1,2",
                 "--set", "simulation.T=10", "--set", "simulation.m=8",
-                "--set", "simulation.dt=0.002", *outdir_arg(out), *extra]
+                "--set", "simulation.dt=0.002", *outdir_arg(out)]
         assert main(args) == 2
         rows = [l.split(",") for l in (out / "sweep.csv").read_text().splitlines()[1:]]
         assert [(r[1], r[5]) for r in rows] == [("1", "ok"), ("2", "MemoryError")]
         stdout, err = capsys.readouterr()
         assert "fprime0=2 status=MemoryError" in stdout.splitlines()
         assert err == "error: cannot allocate the window\n"
+
+
+    def test_sweep_worker_killed_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        # a worker process that dies (as when the OS kills it) breaks the
+        # pool: one error line and exit 4, not a hang
+        monkeypatch.setattr(cli, "simulate", lambda *args, **kwargs: os._exit(1))
+        args = ["sweep", "--set", "sweep.parameter=fprime0", "--set", "sweep.values=1,2",
+                *outdir_arg(tmp_path / "out")]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestWriter:
