@@ -8,14 +8,16 @@ For each workload, pair ``i`` runs ``perfbench/run.py --seed seed0+i`` in
 both checkouts, the parent first in even pairs and the change first in odd
 ones.  One more pair at ``seed0+pairs`` runs traced (``--trace 1``) for the
 per-layer numbers.  Each checkout runs its own ``perfbench/`` on its own
-``src``.  Then ``cityroad verify`` and the Tier-1 suite (``python -m pytest
--q --continue-on-collection-errors``) run once in each checkout, timed.
+``src``.  Then ``cityroad verify``, and after it the Tier-1 suite (``python
+-m pytest -q --continue-on-collection-errors``), run ``CHECK_RUNS`` times in
+each checkout, timed, the sides alternating in the same way.
 
 The record holds every run's last-line JSON; per workload and metric the
 median and quartiles (numpy linear interpolation) of each side and
-``change_lower``, the pairs in which the change's value is lower; the verify
-and Tier-1 wall times, the latter with the counts of pytest's summary line;
-and the machine: CPUs, CPU model, Python, numpy, BLAS, the
+``change_lower``, the pairs in which the change's value is lower; every
+verify and Tier-1 timing, the latter with the counts of pytest's summary
+line, and each side's median and quartiles of their wall times; and the
+machine: CPUs, CPU model, Python, numpy, BLAS, the
 ``OPENBLAS_NUM_THREADS`` and ``PYTHONDONTWRITEBYTECODE`` settings and the
 load average at start and end.  The exit status is 1 if any run reported
 ``correct: false`` or printed no result, else 0.
@@ -36,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+CHECK_RUNS = 3  # timed runs of verify, and of Tier-1, per side
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 _COUNT = re.compile(r"(\d+) ([a-z]+)")
 
@@ -60,6 +63,12 @@ def pytest_counts(stdout: str) -> dict:
         return {}
     counts = lines[-1].strip("= ").rsplit(" in ", 1)[0]
     return {word: int(n) for n, word in _COUNT.findall(counts)}
+
+
+def side_order(i: int) -> tuple:
+    """The sides in the order of round or pair ``i``: the parent first in
+    even ones, the change first in odd ones."""
+    return SIDES if i % 2 == 0 else SIDES[::-1]
 
 
 def _stats(values) -> dict:
@@ -158,6 +167,18 @@ def _time_tier1(root: Path) -> dict:
     return {"wall_s": round(wall, 3), "exit": proc.returncode, **pytest_counts(proc.stdout)}
 
 
+def time_checks(roots: dict, timer) -> dict:
+    """``timer(root)``, whose result holds ``wall_s``, run ``CHECK_RUNS``
+    times per side in alternating order: per side, every result and the
+    median and quartiles of the wall times."""
+    results = {side: [] for side in SIDES}
+    for i in range(CHECK_RUNS):
+        for side in side_order(i):
+            results[side].append(timer(roots[side]))
+    return {side: {"wall_s": _stats([r["wall_s"] for r in results[side]]),
+                   "runs": results[side]} for side in SIDES}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -175,7 +196,7 @@ def main(argv=None) -> int:
     for workload in args.workloads:
         for pair in range(args.pairs + 1):
             trace = pair == args.pairs
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            order = side_order(pair)
             for side in order:
                 result = _run_perfbench(roots[side], workload, args.seed0 + pair,
                                         args.seconds, trace)
@@ -185,14 +206,15 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {pair} {side} trace={int(trace)}: "
                       f"{'no result' if result is None else 'correct=' + str(result['correct'])}",
                       file=sys.stderr, flush=True)
-    verify = {side: _time_verify(roots[side]) for side in SIDES}
-    tier1 = {side: _time_tier1(roots[side]) for side in SIDES}
+    verify = time_checks(roots, _time_verify)
+    tier1 = time_checks(roots, _time_tier1)
     record = {
         "command": ["python3", "scripts/bench_pairs.py", "--workloads", *args.workloads,
                     "--pairs", str(args.pairs), "--seed0", str(args.seed0),
                     "--seconds", str(args.seconds)],
         "statistics": "median and quartiles (numpy linear interpolation) over the untraced "
-                      "pairs; change_lower = pairs in which the change's value is lower",
+                      "pairs, and for verify and tier1 over their runs per side; "
+                      "change_lower = pairs in which the change's value is lower",
         "machine": {**machine_facts(), "loadavg_start": load_start,
                     "loadavg_end": os.getloadavg()},
         "summary": summarize(runs),

@@ -37,7 +37,7 @@ from .lattice_sim import (
     run_system,
     simulate,
 )
-from .model import LatticeState, Parameters
+from .model import Parameters
 
 __all__ = [
     "AsymptoticSpeed",
@@ -129,9 +129,9 @@ def compute_c_star_inf(p: Parameters) -> AsymptoticSpeed:
 def simulate_asymptotic(data: InitialData, cfg: SimulationConfig, p: Parameters,
                         on_snapshot=None) -> Trajectory:
     """Integrate the limit system to time T: ``lattice_sim.run_system`` with
-    the RK4 step, looked up on ``kernels`` at each call, recording
-    ``LatticeState(j_min, j_max, P, V[:, None], t)`` snapshots, whose
-    ``total_mass`` is P + V; ``on_snapshot`` is passed on.
+    the RK4 step, looked up on ``kernels`` at each call; the driver's
+    snapshots hold P and one level V_j per road (an (n_edges, 1) array), so
+    their ``total_mass`` is P + V.  ``on_snapshot`` is passed on.
 
     Matched initialization: P from the vertex data; V from the limit
     relation V_j = beta/(2 alpha) (P_j + P_{j+1}) when the edges are
@@ -145,9 +145,8 @@ def simulate_asymptotic(data: InitialData, cfg: SimulationConfig, p: Parameters,
     else:
         V = np.zeros(len(P) - 1)
     return run_system(
-        cfg, p, V, P,
+        cfg, p, s0.j_min, V, P,
         lambda V, P, n: kernels.advance_asym(V, P, n, cfg.dt, p.alpha, p.beta, p.fprime0),
-        lambda V, P, t: LatticeState(s0.j_min, s0.j_max, P, V[:, None], t),
         on_snapshot=on_snapshot,
     )
 

@@ -23,8 +23,6 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from .asymptotic import (
     compute_c_star_inf,
     large_d_convergence_experiment,
@@ -45,6 +43,7 @@ from .lattice_sim import (
     BlowUpError,
     InitialData,
     SimulationConfig,
+    compatibility_residual,
     default_c_upper,
     simulate,
 )
@@ -270,9 +269,8 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
                 f"rel_error={fmt(rel)} fit_residual={fmt(trace.fit_residual)}"
             )
     else:
-        drift = float(np.max(np.abs(traj.mass - traj.mass[0])) / abs(traj.mass[0]))
-        print(f"reaction-free run: relative_mass_drift={fmt(drift)}")
-    print(f"compat_max_residual={fmt(traj.compat_max_residual)} "
+        print(f"reaction-free run: relative_mass_drift={fmt(traj.mass_drift)}")
+    print(f"compat_max_residual={fmt(compatibility_residual(traj.snapshots[0], p))} "
           f"contaminated={str(traj.contaminated).lower()}")
     print(f"wrote {out / 'trajectory_rho.csv'}, {out / 'trajectory_edge.csv'}, {out / 'mass.csv'}")
     return 1 if traj.contaminated else 0

@@ -43,11 +43,10 @@ class StepOperator:
     It is stored densely as the read-only (m+3, m+1) ``step_matrix``: its
     first m+1 rows are the transposed propagator ((I - dt/2 L)^-1 (I + dt/2 L))^T,
     its last two rows the load columns dt (2/dx) (I - dt/2 L)^-1 e_0 and
-    dt (2/dx) (I - dt/2 L)^-1 e_m.
+    dt (2/dx) (I - dt/2 L)^-1 e_m.  The matrix is the operator's one field:
+    its column count is m+1, and dt enters only through its entries.
     """
 
-    m: int
-    dt: float
     step_matrix: np.ndarray
 
     def apply(self, values, g_left_avg, g_right_avg) -> np.ndarray:
@@ -55,7 +54,7 @@ class StepOperator:
         (rows of values, one load per row) as one matrix product of
         [values | g_left | g_right] with ``step_matrix``."""
         values = np.asarray(values, dtype=float)
-        n = self.m + 1
+        n = self.step_matrix.shape[1]
         w = np.empty(values.shape[:-1] + (n + 2,))
         w[..., :n] = values
         w[..., n] = g_left_avg
@@ -93,7 +92,7 @@ def assemble_step_operator(m: int, dt: float, p: Parameters) -> StepOperator:
     solved += np.linalg.solve(im, resid.astype(float))
     step_matrix = np.ascontiguousarray(solved.T)
     step_matrix.setflags(write=False)
-    return StepOperator(m, dt, step_matrix)
+    return StepOperator(step_matrix)
 
 
 def manufactured_profile(t: float, x, p: Parameters):

@@ -5,11 +5,11 @@ explicitly, edge diffusion implicitly (Crank-Nicolson), so each step costs one
 product of all edge profiles with the precomputed dense propagator
 (``kernels.advance_lattice``).  ``run_system`` is the one stepping loop, for
 this system and its fast-diffusion limit (``asymptotic``) alike: each plugs in
-its n-step advance and its ``LatticeState`` snapshot, whose mass is
-``total_mass``.  The infinite lattice is
-truncated to a window sized from an upper speed guess, with absorbing (zero)
-exterior; a contamination detector flags runs whose front reaches a window
-boundary that started empty.  Mass bookkeeping adds the boundary outflux back
+its n-step advance, and the driver builds every ``LatticeState`` snapshot,
+whose mass is ``total_mass``.  The infinite lattice is truncated to a window
+sized from an upper speed guess, with absorbing (zero) exterior; a
+contamination detector flags runs whose front reaches a window boundary that
+started empty.  Mass bookkeeping adds the boundary outflux back
 so the conservation identity of the reaction-free model stays testable on the
 truncated window.
 """
@@ -65,6 +65,9 @@ class InitialData:
     with the vertices when ``stationary_edges``.  The window covers the whole
     vertex array, zero entries included.
 
+    The vertex array must be 1-d, finite and nonnegative, and the data
+    nontrivial: a positive entry, or the filled left half-line.
+
     Constructors: ``left_block`` (1 for j <= 0, empty edges), ``sine_bump``
     (one sine arch over vertices 1..n, stationary edges), ``point_mass`` (one
     loaded vertex) and ``custom`` (explicit vertex array, either edge kind).
@@ -74,6 +77,15 @@ class InitialData:
     j_min: int = 0
     stationary_edges: bool = False
     left_filled: bool = False
+
+    def __post_init__(self):
+        rho = np.asarray(self.rho_values, dtype=float)
+        if rho.ndim != 1 or len(rho) < 1:
+            raise ValueError("initial data needs a 1-d vertex array")
+        if not np.all(np.isfinite(rho)) or np.any(rho < 0):
+            raise ValueError("initial vertex data must be finite and nonnegative")
+        if not (self.left_filled or np.any(rho > 0)):
+            raise ValueError("rejecting trivial data")
 
     @classmethod
     def left_block(cls) -> "InitialData":
@@ -97,14 +109,7 @@ class InitialData:
     @classmethod
     def custom(cls, rho_values, j_min: int = 0,
                stationary_edges: bool = False) -> "InitialData":
-        rho = np.asarray(rho_values, dtype=float)
-        if rho.ndim != 1 or len(rho) < 1:
-            raise ValueError("custom data needs a 1-d vertex array")
-        if not np.all(np.isfinite(rho)) or np.any(rho < 0):
-            raise ValueError("custom data must be finite and nonnegative")
-        if not np.any(rho > 0):
-            raise ValueError("rejecting trivial data")
-        return cls(rho, j_min, stationary_edges)
+        return cls(np.asarray(rho_values, dtype=float), j_min, stationary_edges)
 
 
 @dataclass(frozen=True)
@@ -135,14 +140,12 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """``LatticeState`` snapshots with the leak-corrected mass series and run
-    diagnostics; the limit system's snapshots hold one level per edge and
-    its compatibility residual is 0 (it has no Robin condition)."""
+    """``LatticeState`` snapshots with the leak-corrected mass series and the
+    contamination flag; the limit system's snapshots hold one level per edge."""
 
     snapshots: tuple
     mass: np.ndarray
     contaminated: bool
-    compat_max_residual: float
 
     @property
     def times(self) -> np.ndarray:
@@ -151,6 +154,11 @@ class Trajectory:
     @property
     def final(self):
         return self.snapshots[-1]
+
+    @property
+    def mass_drift(self) -> float:
+        """Largest relative departure of the mass series from its start."""
+        return float(np.max(np.abs(self.mass - self.mass[0])) / abs(self.mass[0]))
 
 
 def stiffness_dt_cap(p: Parameters) -> float:
@@ -175,20 +183,15 @@ def init_state(data: InitialData, cfg: SimulationConfig, p: Parameters) -> Latti
     c_up = cfg.c_upper_guess if cfg.c_upper_guess is not None else default_c_upper(p)
     reach = math.ceil(c_up * cfg.T) + _WINDOW_MARGIN
     n_data = len(data.rho_values)
-    j_min, j_max = data.j_min - reach, data.j_min + n_data - 1 + reach
-    rho = np.zeros(j_max - j_min + 1)
+    rho = np.zeros(n_data + 2 * reach)
     rho[reach : reach + n_data] = data.rho_values
     if data.left_filled:
         rho[:reach] = 1.0
-    if not np.all(np.isfinite(rho)) or np.any(rho < 0):
-        raise ValueError("initial vertex data must be finite and nonnegative")
-    if not np.any(rho > 0):
-        raise ValueError("rejecting trivial data")
     if data.stationary_edges:
         edges = sample_linear_profiles(stationary_from_rho(rho, p), cfg.m)
     else:
         edges = np.zeros((len(rho) - 1, cfg.m + 1))
-    return LatticeState(j_min, j_max, rho, edges, 0.0)
+    return LatticeState(data.j_min - reach, rho, edges, 0.0)
 
 
 def compatibility_residual(state: LatticeState, p: Parameters) -> float:
@@ -227,18 +230,20 @@ def check_blow_up(p: Parameters, v0, rho0, v, rho, t: float) -> None:
         raise BlowUpError(f"solution reached {worst:.3e} by t={t:g}, threshold {threshold:.3e}")
 
 
-def run_system(cfg: SimulationConfig, p: Parameters, v, rho, advance, snapshot,
-               compat: float = 0.0, on_snapshot=None) -> Trajectory:
-    """Step edges ``v`` and vertices ``rho`` to time T with
-    ``advance(v, rho, n) -> (v, rho, leak)``, recording the ``LatticeState``
-    ``snapshot(v, rho, t)`` every stride steps (~200 snapshots by default)
-    and its ``total_mass`` plus the accumulated leak.  Each snapshot is
-    checked for blow-up, the a-priori bounds (values >= 0, vertices <=
-    max(1, max rho0), edges <= max(beta/alpha, max v0), each to within
-    _BOUND_TOL, relative to max(1, initial max) on the upper bounds) and
-    contamination: mass reaching a window end that started empty.
-    ``on_snapshot``, if given, is called with each snapshot once it is
-    checked and recorded."""
+def run_system(cfg: SimulationConfig, p: Parameters, j_min: int, v, rho, advance,
+               on_snapshot=None) -> Trajectory:
+    """Step edges ``v`` and vertices ``rho`` on the window that starts at
+    vertex ``j_min`` to time T with ``advance(v, rho, n) -> (v, rho, leak)``.
+    Every stride steps (~200 snapshots by default) record the snapshot
+    ``LatticeState(j_min, rho, v.reshape(len(v), -1), t)`` and its
+    ``total_mass`` plus the accumulated leak: ``v`` is (n_edges, m+1) on the
+    lattice, or one level per edge in the fast-diffusion limit, which gives
+    its snapshots one sample per road.  Each snapshot is checked for
+    blow-up, the a-priori bounds (values >= 0, vertices <= max(1, max rho0),
+    edges <= max(beta/alpha, max v0), each to within _BOUND_TOL, relative to
+    max(1, initial max) on the upper bounds) and contamination: mass
+    reaching a window end that started empty.  ``on_snapshot``, if given, is
+    called with each snapshot once it is checked and recorded."""
     check_dt(cfg.dt, p)
     nsteps = round(cfg.T / cfg.dt)
     if nsteps < 1 or abs(nsteps * cfg.dt - cfg.T) > 1e-9 * cfg.T:
@@ -251,14 +256,16 @@ def run_system(cfg: SimulationConfig, p: Parameters, v, rho, advance, snapshot,
     v_hi = max(v_max0, p.beta / p.alpha) + _BOUND_TOL * max(1.0, v_max0)
     ends = [end for end in (0, -1) if rho[end] == 0.0]
 
-    snapshots = [snapshot(v, rho, 0.0)]
-    series = [total_mass(snapshots[0])]
-    if on_snapshot is not None:
-        on_snapshot(snapshots[0])
-    leak = 0.0
-    contaminated = _snapshot_contaminated(rho, ends)
-    done = 0
-    while done < nsteps:
+    snapshots, series = [], []
+    leak, contaminated, done, t = 0.0, False, 0, 0.0
+    while True:
+        contaminated = contaminated or _snapshot_contaminated(rho, ends)
+        snapshots.append(LatticeState(j_min, rho, v.reshape(len(v), -1), t))
+        series.append(total_mass(snapshots[-1]) + leak)
+        if on_snapshot is not None:
+            on_snapshot(snapshots[-1])
+        if done == nsteps:
+            break
         chunk = min(stride, nsteps - done)
         v, rho, dleak = advance(v, rho, chunk)
         leak += dleak
@@ -272,17 +279,8 @@ def run_system(cfg: SimulationConfig, p: Parameters, v, rho, advance, snapshot,
             raise RuntimeError(f"vertex bound violated at t={t:g}")
         if float(np.max(v)) > v_hi:
             raise RuntimeError(f"edge bound violated at t={t:g}")
-        contaminated = contaminated or _snapshot_contaminated(rho, ends)
-        snapshots.append(snapshot(v, rho, t))
-        series.append(total_mass(snapshots[-1]) + leak)
-        if on_snapshot is not None:
-            on_snapshot(snapshots[-1])
-    return Trajectory(
-        snapshots=tuple(snapshots),
-        mass=np.array(series),
-        contaminated=contaminated,
-        compat_max_residual=compat,
-    )
+    return Trajectory(snapshots=tuple(snapshots), mass=np.array(series),
+                      contaminated=contaminated)
 
 
 def simulate(data: InitialData, cfg: SimulationConfig, p: Parameters,
@@ -292,11 +290,9 @@ def simulate(data: InitialData, cfg: SimulationConfig, p: Parameters,
     s0 = init_state(data, cfg, p)
     op = assemble_step_operator(cfg.m, cfg.dt, p)
     return run_system(
-        cfg, p, s0.edges, s0.rho,
+        cfg, p, s0.j_min, s0.edges, s0.rho,
         lambda v, rho, n: kernels.advance_lattice(
             v, rho, n, cfg.dt, p.alpha, p.beta, p.fprime0, op),
-        lambda v, rho, t: LatticeState(s0.j_min, s0.j_max, rho, v, t),
-        compat=compatibility_residual(s0, p),
         on_snapshot=on_snapshot,
     )
 

@@ -12,8 +12,9 @@ while each city follows rho_j' = f(rho_j) + alpha (v_j(0) + v_{j-1}(1))
 scales out exactly (alpha -> alpha/ell, d -> d/ell^2, v -> ell v), so
 ``Parameters`` describe the unit-length lattice.  This module holds the
 parameter containers, the snapshot type of both this system and its
-fast-diffusion limit, the unit-length rescaling, the mass functional, and
-the closed-form algebra of stationary states.
+fast-diffusion limit (its window's right end follows from the vertex
+count), the unit-length rescaling, the mass functional, and the
+closed-form algebra of stationary states.
 """
 
 from __future__ import annotations
@@ -107,12 +108,12 @@ def rescale_to_unit_length(p: Parameters, ell: float) -> Parameters:
 
 @dataclass(frozen=True)
 class LatticeState:
-    """Truncated-window snapshot of either system: vertex densities for j in
-    [j_min, j_max] and, for each edge j in [j_min, j_max - 1], its m+1 grid
-    samples, or its one level V_j in the fast-diffusion limit (m = 0)."""
+    """Truncated-window snapshot of either system: vertex densities ``rho``
+    for j in [j_min, j_max], j_max = j_min + len(rho) - 1, and, for each edge
+    j in [j_min, j_max - 1], its m+1 grid samples, or its one level V_j in
+    the fast-diffusion limit (m = 0)."""
 
     j_min: int
-    j_max: int
     rho: np.ndarray
     edges: np.ndarray  # shape (n_edges, m+1), or (n_edges, 1) in the limit
     time: float = 0.0
@@ -120,17 +121,18 @@ class LatticeState:
     def __post_init__(self):
         object.__setattr__(self, "rho", _frozen_array(self.rho, 1))
         object.__setattr__(self, "edges", _frozen_array(self.edges, 2))
-        if self.j_min >= self.j_max:
-            raise ValueError("need j_min < j_max")
-        n_v = self.j_max - self.j_min + 1
-        if len(self.rho) != n_v:
-            raise ValueError("rho length must match the window")
-        if self.edges.shape[0] != n_v - 1:
+        if len(self.rho) < 2:
+            raise ValueError("need at least two vertices, j_min < j_max")
+        if self.edges.shape[0] != len(self.rho) - 1:
             raise ValueError("edge count must be vertex count - 1")
         if self.edges.shape[1] < 1:
             raise ValueError("each edge needs at least one sample")
         if not (np.all(np.isfinite(self.rho)) and np.all(np.isfinite(self.edges))):
             raise ValueError("state entries must be finite")
+
+    @property
+    def j_max(self) -> int:
+        return self.j_min + len(self.rho) - 1
 
     @property
     def m(self) -> int:

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -86,3 +87,46 @@ class TestSummarize:
         assert not bench_pairs.all_correct(runs)
         assert bench_pairs.summarize(runs)["limit"]["correct"] == {"parent": False,
                                                                     "change": True}
+
+
+class TestTimeChecks:
+    """verify and Tier-1 run CHECK_RUNS times per side, alternating, with the
+    subprocesses and the clock stubbed: call i takes i + 1 seconds."""
+
+    ROOTS = {"parent": Path("/parent"), "change": Path("/change")}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, clock = [], [0.0]
+
+        def run(cmd, cwd, **kwargs):
+            calls.append((cmd[-1], cwd))
+            clock[0] += len(calls)
+            out = "PASS criterion 1\nFAIL criterion 2\n" if cmd[-1] == "verify" \
+                else "..\n2 passed in 1.00s\n"
+            return SimpleNamespace(returncode=0, stdout=out)
+
+        monkeypatch.setattr(bench_pairs, "subprocess", SimpleNamespace(run=run))
+        monkeypatch.setattr(bench_pairs, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        return calls
+
+    def test_sides_alternate(self, calls):
+        bench_pairs.time_checks(self.ROOTS, bench_pairs._time_verify)
+        bench_pairs.time_checks(self.ROOTS, bench_pairs._time_tier1)
+        order = ["parent", "change", "change", "parent", "parent", "change"]
+        assert bench_pairs.CHECK_RUNS == 3
+        assert calls == ([("verify", self.ROOTS[side]) for side in order]
+                         + [("--continue-on-collection-errors", self.ROOTS[side])
+                            for side in order])
+
+    def test_summary_keeps_every_run(self, calls):
+        verify = bench_pairs.time_checks(self.ROOTS, bench_pairs._time_verify)
+        # calls 1..6 take 1..6 s: the parent gets 1, 4, 5 and the change 2, 3, 6
+        assert [r["wall_s"] for r in verify["parent"]["runs"]] == [1.0, 4.0, 5.0]
+        assert [r["wall_s"] for r in verify["change"]["runs"]] == [2.0, 3.0, 6.0]
+        assert verify["parent"]["wall_s"] == {"median": 4.0, "q1": 2.5, "q3": 4.5}
+        assert verify["change"]["wall_s"] == {"median": 3.0, "q1": 2.5, "q3": 4.5}
+        assert verify["parent"]["runs"][0] == {"wall_s": 1.0, "exit": 0, "passed": 1,
+                                               "criteria": 2}
+        tier1 = bench_pairs.time_checks(self.ROOTS, bench_pairs._time_tier1)
+        assert tier1["change"]["runs"][-1] == {"wall_s": 12.0, "exit": 0, "passed": 2}

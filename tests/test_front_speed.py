@@ -116,13 +116,13 @@ class TestDichotomyChecks:
         P = np.where(js <= 0, 1.0, 0.0)
         P_final = P.copy()
         P_final[18] = 0.25
-        final = LatticeState(-10, 10, P_final, np.zeros((20, 1)), 10.0)
-        started_left = Trajectory((LatticeState(-10, 10, P, np.zeros((20, 1)), 0.0), final),
-                                  np.zeros(2), False, 0.0)
+        final = LatticeState(-10, P_final, np.zeros((20, 1)), 10.0)
+        started_left = Trajectory((LatticeState(-10, P, np.zeros((20, 1)), 0.0), final),
+                                  np.zeros(2), False)
         assert outer_occupancy(started_left, 0.5, factor=1.2) == 0.25
         # the same final state from a start empty at both ends: both sides scanned
-        started_empty = Trajectory((LatticeState(-10, 10, np.zeros(21), np.zeros((20, 1)), 0.0),
-                                    final), np.zeros(2), False, 0.0)
+        started_empty = Trajectory((LatticeState(-10, np.zeros(21), np.zeros((20, 1)), 0.0),
+                                    final), np.zeros(2), False)
         assert outer_occupancy(started_empty, 0.5, factor=1.2) == 1.0
 
     def test_limit_trajectory_edges_come_from_V(self, params_unit):
@@ -135,9 +135,9 @@ class TestDichotomyChecks:
         V[6:14] = 1.0  # edges inside |j| <= 4
         V[10] = 0.7  # edge (0, 1), inside the inner cutoff 0.8 * 0.5 * 10 = 4
         V[18] = 0.25  # edge (8, 9), past the outer cutoff 1.2 * 0.5 * 10 = 6
-        snaps = (LatticeState(-10, 10, np.zeros(21), np.zeros((20, 1)), 0.0),
-                 LatticeState(-10, 10, P, V[:, None], 10.0))
-        traj = Trajectory(snaps, np.zeros(2), False, 0.0)
+        snaps = (LatticeState(-10, np.zeros(21), np.zeros((20, 1)), 0.0),
+                 LatticeState(-10, P, V[:, None], 10.0))
+        traj = Trajectory(snaps, np.zeros(2), False)
         assert outer_occupancy(traj, 0.5, factor=1.2) == 0.25
         assert inner_deficit(traj, params_unit, 0.5, factor=0.8) == pytest.approx(0.3, abs=1e-15)
 

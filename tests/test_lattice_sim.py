@@ -42,14 +42,14 @@ def step(s, dt, p):
     """One IMEX step of the coupled system from snapshot ``s``."""
     op = assemble_step_operator(s.m, dt, p)
     v, rho, _ = kernels.advance_lattice(s.edges, s.rho, 1, dt, p.alpha, p.beta, p.fprime0, op)
-    return LatticeState(s.j_min, s.j_max, rho, v, s.time + dt)
+    return LatticeState(s.j_min, rho, v, s.time + dt)
 
 
 def steady_state(p, n=21, m=16):
     rho = np.ones(n)
     edges = sample_linear_profiles(stationary_from_rho(rho, p), m)
     half = n // 2
-    return LatticeState(-half, half, rho, edges, 0.0)
+    return LatticeState(-half, rho, edges, 0.0)
 
 
 class TestInitState:
@@ -78,6 +78,21 @@ class TestInitState:
     def test_negative_data_rejected(self):
         with pytest.raises(ValueError):
             InitialData.custom([-0.1, 0.5], j_min=0)
+
+    @pytest.mark.parametrize("values,message", [
+        ([0.5, -0.1], "finite and nonnegative"),
+        ([0.5, math.nan], "finite and nonnegative"),
+        ([0.0, 0.0], "trivial"),
+        ([[0.5]], "1-d"),
+    ])
+    def test_directly_built_data_checked(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            InitialData(np.array(values))
+
+    def test_filled_left_half_line_is_data(self, p):
+        cfg = SimulationConfig(T=1.0, dt=1e-3, m=4, c_upper_guess=1.0)
+        s = init_state(InitialData(np.zeros(1), left_filled=True), cfg, p)
+        np.testing.assert_array_equal(s.rho, (s.js < 0).astype(float))
 
     @pytest.mark.parametrize("c_up", [math.inf, math.nan, -1.0, 0.0])
     def test_bad_c_upper_rejected(self, c_up):
@@ -171,7 +186,7 @@ class TestStepSystem:
 
     def test_zero_state_stays_zero(self, p):
         n = 9
-        s = LatticeState(0, n - 1, np.zeros(n), np.zeros((n - 1, 9)), 0.0)
+        s = LatticeState(0, np.zeros(n), np.zeros((n - 1, 9)), 0.0)
         s1 = step(s, 1e-3, p)
         assert np.all(s1.rho == 0.0)
         assert np.all(s1.edges == 0.0)
@@ -183,24 +198,38 @@ class TestRunSystem:
     @staticmethod
     def run(p, v, rho, advance, T=0.1, dt=0.01):
         cfg = SimulationConfig(T=T, dt=dt, m=8, c_upper_guess=1.0, snapshot_stride=1)
-        n = len(rho)
-        return run_system(cfg, p, v, rho, advance,
-                          lambda v, rho, t: LatticeState(0, n - 1, rho, v, t))
+        return run_system(cfg, p, 0, v, rho, advance)
+
+    @staticmethod
+    def run_setting(p, where, value):
+        """Run from edges 0 and vertices 0.5 (blow-up threshold
+        10 max(beta/alpha, 1, |v0|, |rho0|) = 10) with an advance that sets
+        vertex or edge row 4 to ``value``."""
+        def advance(v, rho, n):
+            v, rho = v.copy(), rho.copy()
+            (rho if where == "rho" else v)[4] = value
+            return v, rho, 0.0
+
+        return TestRunSystem.run(p, np.zeros((8, 9)), np.full(9, 0.5), advance)
 
     @pytest.mark.parametrize("bad", [10.5, math.nan])
     @pytest.mark.parametrize("where", ["rho", "edges"])
     def test_blow_up_detected(self, p, bad, where):
-        # threshold 10 max(beta/alpha, 1, |v0|, |rho0|) = 10; a NaN passes
-        # every bound comparison, so the blow-up check is its only guard
-        v0, rho0 = np.zeros((8, 9)), np.full(9, 0.5)
-
-        def advance(v, rho, n):
-            v, rho = v.copy(), rho.copy()
-            (rho if where == "rho" else v)[4] = bad
-            return v, rho, 0.0
-
+        # a NaN passes every bound comparison, so the blow-up check is its only guard
         with pytest.raises(BlowUpError):
-            self.run(p, v0, rho0, advance)
+            self.run_setting(p, where, bad)
+
+    @pytest.mark.parametrize("where,value,message", [
+        ("rho", -1e-6, "positivity violated at t=0.01: min value -1.000e-06"),
+        ("rho", 1.5, "vertex bound violated at t=0.01"),
+        ("edges", 1.5, "edge bound violated at t=0.01"),
+    ])
+    def test_bound_violation_detected(self, p, where, value, message):
+        # under the blow-up threshold, past 0, max(1, max rho0) or max(beta/alpha, max v0)
+        with pytest.raises(RuntimeError) as info:
+            self.run_setting(p, where, value)
+        assert not isinstance(info.value, BlowUpError)
+        assert str(info.value) == message
 
     def test_occupied_ends_are_not_contamination(self, p):
         # the steady state fills the window: both ends start occupied and stay
@@ -288,7 +317,7 @@ class TestSimulate:
         # of the truncated dynamics too; stepping from it is pointwise
         # non-increasing in time
         n = 17
-        prev = LatticeState(-8, 8, np.ones(n), np.ones((n - 1, 17)), 0.0)
+        prev = LatticeState(-8, np.ones(n), np.ones((n - 1, 17)), 0.0)
         for _ in range(100):
             nxt = step(prev, 2.5e-3, p)
             assert np.max(nxt.rho - prev.rho) <= 1e-12
@@ -314,8 +343,7 @@ class TestSimulate:
         p0 = Parameters(1.0, 1.0, 1.0, nonlinearity=logistic(0.0))
         cfg = SimulationConfig(T=2.0, dt=1e-3, m=32, c_upper_guess=1.0)
         traj = simulate(InitialData.left_block(), cfg, p0)
-        drift = np.max(np.abs(traj.mass - traj.mass[0])) / abs(traj.mass[0])
-        assert drift <= 1e-6
+        assert traj.mass_drift <= 1e-6
 
     def test_mass_column_matches_state_plus_leak(self, p):
         cfg = SimulationConfig(T=0.5, dt=1e-3, m=8, c_upper_guess=1.0, snapshot_stride=250)

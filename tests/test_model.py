@@ -20,7 +20,7 @@ def make_state(rho, m=8, p=None, edges=None):
     rho = np.asarray(rho, dtype=float)
     if edges is None:
         edges = np.zeros((len(rho) - 1, m + 1))
-    return LatticeState(0, len(rho) - 1, rho, edges, 0.0)
+    return LatticeState(0, rho, edges, 0.0)
 
 
 class TestRescale:
@@ -101,24 +101,24 @@ class TestTotalMass:
         p = Parameters(2.0, 3.0, 1.0)
         rho = np.ones(n)
         edges = np.full((n - 1, 9), p.beta / p.alpha)
-        s = LatticeState(0, n - 1, rho, edges, 0.0)
+        s = LatticeState(0, rho, edges, 0.0)
         assert total_mass(s) == pytest.approx(n + (n - 1) * p.beta / p.alpha, rel=1e-15)
 
     def test_linearity_and_translation(self):
         rng = np.random.default_rng(3)
         rho = rng.uniform(0, 1, 5)
         edges = rng.uniform(0, 1, (4, 9))
-        s1 = LatticeState(0, 4, rho, edges, 0.0)
-        s2 = LatticeState(-7, -3, rho, edges, 0.0)  # translated window
+        s1 = LatticeState(0, rho, edges, 0.0)
+        s2 = LatticeState(-7, rho, edges, 0.0)  # translated window
         assert total_mass(s1) == total_mass(s2)
-        s3 = LatticeState(0, 4, 2.0 * rho, 2.0 * edges, 0.0)
+        s3 = LatticeState(0, 2.0 * rho, 2.0 * edges, 0.0)
         assert total_mass(s3) == pytest.approx(2.0 * total_mass(s1), rel=1e-14)
 
     def test_one_sample_edges_are_their_level(self):
         # the limit system's roads hold one level V_j each: the mass is P + V
         rng = np.random.default_rng(4)
         rho, V = rng.uniform(0, 1, 7), rng.uniform(0, 1, 6)
-        s = LatticeState(-3, 3, rho, V[:, None], 0.0)
+        s = LatticeState(-3, rho, V[:, None], 0.0)
         assert s.m == 0
         assert total_mass(s) == float(rho.sum() + V.sum())
 
@@ -192,14 +192,14 @@ class TestStationaryResidual:
 class TestContainers:
     def test_lattice_state_validation(self):
         with pytest.raises(ValueError):
-            LatticeState(0, 2, np.ones(3), np.ones((1, 9)), 0.0)  # edge count
+            LatticeState(0, np.ones(3), np.ones((1, 9)), 0.0)  # edge count
         with pytest.raises(ValueError):
-            LatticeState(0, 1, np.array([1.0, np.nan]), np.ones((1, 9)), 0.0)
+            LatticeState(0, np.array([1.0, np.nan]), np.ones((1, 9)), 0.0)
 
     def test_edge_sample_counts(self, params_unit):
         with pytest.raises(ValueError, match="at least one sample"):
-            LatticeState(0, 2, np.ones(3), np.ones((2, 0)), 0.0)
-        two_samples = LatticeState(0, 2, np.ones(3), np.ones((2, 2)), 0.0)
+            LatticeState(0, np.ones(3), np.ones((2, 0)), 0.0)
+        two_samples = LatticeState(0, np.ones(3), np.ones((2, 2)), 0.0)
         with pytest.raises(ValueError, match=">= 3 samples"):
             compatibility_residual(two_samples, params_unit)
 

@@ -22,12 +22,13 @@ def params(alpha, beta, d, fprime0):
     return Parameters(alpha, beta, d, nonlinearity=logistic(fprime0))
 
 
-def at_corners(ks=()):
-    """Add each corner of the box as an explicit example, once per scale k in ks."""
+def at_corners(ks=(), **fixed):
+    """Add each corner of the box as an explicit example, once per scale k in
+    ks, with the ``fixed`` values of the test's other arguments."""
     def add(test):
         for alpha, beta, d, f0 in itertools.product((0.1, 10.0), repeat=4):
             for extra in [{"k": k} for k in ks] or [{}]:
-                test = example(alpha=alpha, beta=beta, d=d, f0=f0, **extra)(test)
+                test = example(alpha=alpha, beta=beta, d=d, f0=f0, **extra, **fixed)(test)
         return test
     return add
 

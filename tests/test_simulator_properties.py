@@ -4,13 +4,18 @@ Scaling every rate (alpha, beta, d, f'(0)) by k, and dt and T by 1/k, is the
 time change t -> k t of the coupled system and of its fast-diffusion limit
 alike: the scaled run ends in the same state, on the same window, to
 roundoff.  Without reaction, the limit system's RK4 step conserves the
-leak-corrected mass to roundoff.  Each property also runs at the corners of
-the box.  Windows are small and roads coarse (m = 16), so the file stays fast.
+leak-corrected mass to roundoff.  Both systems obey the comparison
+principle: ordered data with stationary edges stay ordered and nonnegative.
+Each property also runs at the corners of the box.  Windows are small and
+roads coarse (m = 16), so the file stays fast.
 """
 
-import numpy as np
-from hypothesis import example, given, settings
+from dataclasses import replace
 
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from cityroad.acceptance import _random_ordered_pair
 from cityroad.asymptotic import simulate_asymptotic
 from cityroad.lattice_sim import InitialData, SimulationConfig, simulate, stiffness_dt_cap
 from test_properties import at_corners, params, rate
@@ -66,5 +71,20 @@ def test_limit_reaction_free_mass_drift(alpha, beta):
     # d does not enter the limit system
     p = params(alpha, beta, 1.0, 0.0)
     traj = simulate_asymptotic(InitialData.sine_bump(3), run_config(p), p)
-    drift = np.max(np.abs(traj.mass - traj.mass[0])) / traj.mass[0]
-    assert drift <= 1e-13
+    assert traj.mass_drift <= 1e-13
+
+
+@box_settings
+@given(alpha=rate, beta=rate, d=rate, f0=rate, seed=st.integers(0, 2**32 - 1))
+@at_corners(seed=0)
+def test_comparison_principle(alpha, beta, d, f0, seed):
+    # criterion 11's ordered pairs on j = -5..5, checked every 10 steps
+    p = params(alpha, beta, d, f0)
+    cfg = replace(run_config(p), snapshot_stride=10)
+    pair = _random_ordered_pair(np.random.default_rng(seed))
+    data = [InitialData.custom(rho, j_min=-5, stationary_edges=True) for rho in pair]
+    for simulator in (simulate, simulate_asymptotic):
+        lower, upper = (simulator(init, cfg, p).snapshots for init in data)
+        for a, b in zip(lower, upper):
+            assert max(np.max(a.rho - b.rho), np.max(a.edges - b.edges)) <= 1e-10
+            assert min(np.min(a.rho), np.min(a.edges)) >= -1e-12
