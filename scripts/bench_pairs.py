@@ -12,9 +12,11 @@ per-layer numbers.  Each checkout runs its own ``perfbench/`` on its own
 -m pytest -q --continue-on-collection-errors``), run ``CHECK_RUNS`` times in
 each checkout, timed, the sides alternating in the same way.
 
-The record holds every run's last-line JSON; per workload and metric the
+The record holds every run's last-line JSON and its round count (from
+perfbench's ``workload=... rounds=N`` line); per workload and metric the
 median and quartiles (numpy linear interpolation) of each side and
-``change_lower``, the pairs in which the change's value is lower; every
+``change_lower``, the pairs in which the change's value is lower; per
+workload each side's median and quartiles of the round counts; every
 verify and Tier-1 timing, the latter with the counts of pytest's summary
 line, and each side's median and quartiles of their wall times; and the
 machine: CPUs, CPU model, Python, numpy, BLAS, the
@@ -41,6 +43,7 @@ SIDES = ("parent", "change")
 CHECK_RUNS = 3  # timed runs of verify, and of Tier-1, per side
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 _COUNT = re.compile(r"(\d+) ([a-z]+)")
+_ROUNDS = re.compile(r"^workload=\S+ seed=\S+ rounds=(\d+)", re.MULTILINE)
 
 
 def last_json_line(stdout: str) -> dict | None:
@@ -53,6 +56,12 @@ def last_json_line(stdout: str) -> dict | None:
     except json.JSONDecodeError:
         return None
     return result if isinstance(result, dict) else None
+
+
+def perfbench_rounds(stdout: str) -> int | None:
+    """The round count on perfbench's ``workload=... rounds=N`` line, or None."""
+    match = _ROUNDS.search(stdout)
+    return int(match.group(1)) if match else None
 
 
 def pytest_counts(stdout: str) -> dict:
@@ -78,29 +87,38 @@ def _stats(values) -> dict:
 
 def summarize(runs: list[dict]) -> dict:
     """Per workload and metric, each side's median and quartiles over the
-    untraced pairs and the count of pairs where the change reads lower; and
+    untraced pairs and the count of pairs where the change reads lower; each
+    side's median and quartiles of the round counts over those pairs; and
     each side's traced per-layer values.
 
-    ``runs`` holds ``{"workload", "pair", "side", "trace", "result"}``
-    records, ``result`` being a run's last-line JSON or None."""
+    ``runs`` holds ``{"workload", "pair", "side", "trace", "rounds",
+    "result"}`` records, ``result`` being a run's last-line JSON or None and
+    ``rounds`` its round count or None."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
         for r in runs:
             if r["workload"] == workload and not r["trace"]:
-                pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]
-        complete = [p for p in pairs.values() if all(p.get(side) for side in SIDES)]
+                pairs.setdefault(r["pair"], {})[r["side"]] = r
+        complete = [p for p in pairs.values()
+                    if all(side in p and p[side]["result"] for side in SIDES)]
+        results = [{side: p[side]["result"] for side in SIDES} for p in complete]
         entry = {
             "pairs": len(complete),
-            "correct": {side: all(p[side]["correct"] for p in complete) for side in SIDES},
+            "correct": {side: all(p[side]["correct"] for p in results) for side in SIDES},
             "failed_of_attempted": {
-                side: [f"{p[side]['failed']}/{p[side]['attempted']}" for p in complete]
+                side: [f"{p[side]['failed']}/{p[side]['attempted']}" for p in results]
                 for side in SIDES},
+            "rounds": {},
             "metrics": {},
         }
-        names = complete[0]["parent"]["metrics"] if complete else {}
+        for side in SIDES:
+            counts = [p[side].get("rounds") for p in complete]
+            if counts and None not in counts:
+                entry["rounds"][side] = {**_stats(counts), "runs": counts}
+        names = results[0]["parent"]["metrics"] if results else {}
         for name in names:
-            values = {side: [p[side]["metrics"][name]["value"] for p in complete]
+            values = {side: [p[side]["metrics"][name]["value"] for p in results]
                       for side in SIDES}
             entry["metrics"][name] = {
                 "unit": names[name]["unit"],
@@ -144,7 +162,7 @@ def _run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: 
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
-    return last_json_line(proc.stdout)
+    return last_json_line(proc.stdout), perfbench_rounds(proc.stdout)
 
 
 def _time_verify(root: Path) -> dict:
@@ -198,11 +216,11 @@ def main(argv=None) -> int:
             trace = pair == args.pairs
             order = side_order(pair)
             for side in order:
-                result = _run_perfbench(roots[side], workload, args.seed0 + pair,
-                                        args.seconds, trace)
+                result, rounds = _run_perfbench(roots[side], workload, args.seed0 + pair,
+                                                args.seconds, trace)
                 runs.append({"workload": workload, "pair": pair, "seed": args.seed0 + pair,
                              "side": side, "first": side == order[0], "trace": trace,
-                             "result": result})
+                             "rounds": rounds, "result": result})
                 print(f"{workload} pair {pair} {side} trace={int(trace)}: "
                       f"{'no result' if result is None else 'correct=' + str(result['correct'])}",
                       file=sys.stderr, flush=True)

@@ -53,6 +53,11 @@ __all__ = [
 _GRID_POINTS = 2000
 _MU_RANGE = (1e-4, 50.0)
 _NEWTON_ITERATIONS = 50
+_EPS = float(np.finfo(float).eps)
+# The default scan grid and its cosh, shared by every solve.
+_MUS = np.geomspace(*_MU_RANGE, _GRID_POINTS)
+_COSH_MUS = np.cosh(_MUS)
+_MUS.flags.writeable = _COSH_MUS.flags.writeable = False
 
 
 class AsymptoticDispersion(NamedTuple):
@@ -88,20 +93,22 @@ def asymptotic_dispersion_eval(mu: float, c: float, p: Parameters) -> Asymptotic
 
 def compute_c_star_inf(p: Parameters) -> AsymptoticSpeed:
     """Minimize c_plus over mu > 0 (geometric grid, then Newton's method on
-    the tangency condition) and verify Psi = 0 and dPsi/dmu = 0 at the optimum."""
+    the tangency condition) and verify Psi = 0 and dPsi/dmu = 0 at the
+    optimum, each to a bound relative to the size of its terms."""
     if p.fprime0 <= 0:
         raise ValueError("limit speed needs f'(0) > 0")
     ab4 = 4.0 * p.alpha * p.beta
     b_coef = 2.0 * p.alpha + 2.0 * p.beta - p.fprime0
-    lo, hi = _MU_RANGE
-    for _ in range(2):
-        mus = np.geomspace(lo, hi, _GRID_POINTS)
-        cs = (np.sqrt(_delta_inf(np.cosh(mus), p)) - b_coef) / (2.0 * mus)
-        i_min = int(np.argmin(cs))
+    mus, cosh_mus = _MUS, _COSH_MUS
+    for widen in (False, True):
+        if widen:
+            lo, hi = _MU_RANGE
+            mus = np.geomspace(lo / 10.0, hi * 10.0, _GRID_POINTS)
+            cosh_mus = np.cosh(mus)
+        cs = (np.sqrt(_delta_inf(cosh_mus, p)) - b_coef) / (2.0 * mus)
+        i_min = int(cs.argmin())
         if 0 < i_min < len(mus) - 1:
             break
-        lo /= 10.0
-        hi *= 10.0
     else:
         raise RuntimeError("limit-speed minimum stuck at the scan endpoint")
     # Newton's method on g(mu) = mu root' - root, increasing as g' = mu root'' > 0;
@@ -113,16 +120,22 @@ def compute_c_star_inf(p: Parameters) -> AsymptoticSpeed:
         g = mu_star * ab4 * sh / sq - (sq - b_coef)
         g_prime = mu_star * ab4 / sq * (ch - ab4 * sh * sh / (sq * sq))
         mu_star, previous = min(max(mu_star - g / g_prime, 0.5 * mu_star), 2.0 * mu_star), mu_star
-        if abs(mu_star - previous) <= 4.0 * np.finfo(float).eps * previous:
+        if abs(mu_star - previous) <= 4.0 * _EPS * previous:
             break
-    c_inf = asymptotic_dispersion_eval(mu_star, 0.0, p).c_plus
+    at_star = asymptotic_dispersion_eval(mu_star, 0.0, p)
+    c_inf = at_star.c_plus
+    sq = math.sqrt(at_star.delta_inf)
     psi_res = abs(asymptotic_dispersion_eval(mu_star, c_inf, p).psi)
-    dpsi_res = abs(ab4 * math.sinh(mu_star) / math.sqrt(_delta_inf(math.cosh(mu_star), p))
-                   - 2.0 * c_inf)
-    if psi_res > 1e-10:
-        raise RuntimeError(f"tangency residual |Psi| = {psi_res:.3e} exceeds 1e-10")
-    if dpsi_res > 1e-8:
-        raise RuntimeError(f"tangency residual |dPsi/dmu| = {dpsi_res:.3e} exceeds 1e-8")
+    dpsi_res = abs(ab4 * math.sinh(mu_star) / sq - 2.0 * c_inf)
+    # Psi and dPsi/dmu are differences of terms of the sizes below, so
+    # roundoff in them grows with the rates: the bounds are relative.
+    psi_bound = 1e-10 * max(1.0, abs(b_coef), sq)
+    dpsi_bound = 1e-8 * max(1.0, 2.0 * c_inf)
+    if psi_res > psi_bound:
+        raise RuntimeError(f"tangency residual |Psi| = {psi_res:.3e} exceeds {psi_bound:.3e}")
+    if dpsi_res > dpsi_bound:
+        raise RuntimeError(f"tangency residual |dPsi/dmu| = {dpsi_res:.3e} "
+                           f"exceeds {dpsi_bound:.3e}")
     return AsymptoticSpeed(float(mu_star), float(c_inf), psi_res, dpsi_res)
 
 

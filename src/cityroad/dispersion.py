@@ -14,6 +14,13 @@ spreading speed is the minimum of c(lambda) = lambda / mu(lambda) over
 refinement because uniqueness of the minimizer is only conjectured; every
 grid-local minimum is reported.  Threshold and minimizer are refined by
 zooming a bracket onto the sign change or the smallest c on a linspace.
+
+A solve is a few dozen evaluations of y on a few hundred points, so it runs
+at numpy's per-call cost, not at its arithmetic.  Each evaluation therefore
+enters one ``np.errstate``, computes the Taylor branch (s < 1e-4) and the
+log-space branch (s > 300) only when some element needs them, and masks the
+undefined mu and c in place; every element still sees the same IEEE
+operations in the same order as with both branches computed everywhere.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ _GRID_POINTS = 2000
 _GRID_SPAN = 1e4
 # Points per round of the bracket zoom that refines lambda0 and lambda*.
 _ZOOM_POINTS = 256
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -85,16 +93,17 @@ def _ratios(s):
 
     Returns the three s-dependent factors r_tanh = s/tanh s, r_sinh = s/sinh s
     and their reciprocal companion sinh s / s, Taylor-expanded below the
-    switchover to avoid 0/0.
+    switchover to avoid 0/0; r_sinh is 0 where sinh overflows.  The Taylor
+    branch runs only when some element needs it.  Callers hold the errstate.
     """
-    s = np.asarray(s, dtype=float)
     small = s < _TAYLOR_SWITCH
+    if not np.count_nonzero(small):
+        sinh = np.sinh(s)
+        return s / np.tanh(s), s / sinh, sinh / s
     s_safe = np.where(small, 1.0, s)
-    with np.errstate(over="ignore"):
-        sinh = np.sinh(s_safe)
-        tanh = np.tanh(s_safe)
-    r_tanh = np.where(small, 1.0 + s**2 / 3.0, s_safe / tanh)
-    r_sinh = np.where(small, 1.0 - s**2 / 6.0, np.where(np.isinf(sinh), 0.0, s_safe / sinh))
+    sinh = np.sinh(s_safe)
+    r_tanh = np.where(small, 1.0 + s**2 / 3.0, s_safe / np.tanh(s_safe))
+    r_sinh = np.where(small, 1.0 - s**2 / 6.0, s_safe / sinh)
     sinh_over_s = np.where(small, 1.0 + s**2 / 6.0, sinh / s_safe)
     return r_tanh, r_sinh, sinh_over_s
 
@@ -104,47 +113,42 @@ def _log_sinh(s):
 
 
 def _terms(lams, p: Parameters):
-    """s, sqrt(d lam) / sinh(s), sinh(s) / s, Delta and the bracket of y
-    along a lambda grid."""
+    """s, s / sinh(s), sinh(s) / s, Delta and the bracket of y at a float
+    lambda or along a float array of them.  Callers hold the errstate."""
     alpha, beta, d, f0 = p.alpha, p.beta, p.d, p.fprime0
-    lams = np.asarray(lams, dtype=float)
     s = np.sqrt(lams / d)
     r_tanh, r_sinh, sinh_over_s = _ratios(s)
     a_term = d * r_tanh        # sqrt(d lam) / tanh(s)
     delta = alpha**2 + d * lams + 2.0 * alpha * a_term
     bracket = delta / (2.0 * alpha * beta) * (lams + 2.0 * beta - f0) - (alpha + a_term)
-    return s, d * r_sinh, sinh_over_s, delta, bracket
+    return s, r_sinh, sinh_over_s, delta, bracket
 
 
 def _eval_arrays(lams: np.ndarray, p: Parameters):
-    """Vectorized (delta, y, mu, c) along a lambda grid; mu, c are NaN where
-    y <= 1."""
+    """Vectorized (delta, y, mu, c) along a float array of lambdas; mu, c are
+    NaN where y <= 1.  The log-space branch runs only when some s exceeds
+    its switchover."""
     d = p.d
-    lams = np.asarray(lams, dtype=float)
-    s, _, sinh_over_s, delta, bracket = _terms(lams, p)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s, _, sinh_over_s, delta, bracket = _terms(lams, p)
         y = bracket * sinh_over_s / d
-    # log-space rescue of |y| where sinh overflowed; y keeps the sign of the
-    # bracket, so below the threshold it stays below 1
-    big = s > _LOG_SWITCH
-    log_y = np.zeros_like(y)
-    if np.any(big):
-        lb = np.log(np.maximum(np.abs(bracket), 1e-300))
-        log_y = np.where(big, lb + _log_sinh(s) - np.log(d * np.maximum(s, 1.0)), 0.0)
-        rescued = np.sign(bracket) * np.exp(np.minimum(log_y, _HUGE_LOG))
-        y = np.where(big & ~np.isfinite(y), rescued, y)
-    defined = y > 1.0
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        mu = np.where(
-            defined,
-            np.log(y + np.sqrt(np.abs((y - 1.0) * (y + 1.0)))),
-            np.nan,
-        )
-    if np.any(big):
-        use_log = big & (log_y > 40.0)
-        mu = np.where(use_log, math.log(2.0) + log_y, mu)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c = np.where(defined, lams / mu, np.nan)
+        # log-space rescue of |y| where sinh overflowed; y keeps the sign of
+        # the bracket, so below the threshold it stays below 1
+        big = s > _LOG_SWITCH
+        any_big = np.count_nonzero(big)
+        if any_big:
+            lb = np.log(np.maximum(np.abs(bracket), 1e-300))
+            log_y = np.where(big, lb + _log_sinh(s) - np.log(d * np.maximum(s, 1.0)), 0.0)
+            rescued = np.sign(bracket) * np.exp(np.minimum(log_y, _HUGE_LOG))
+            y = np.where(big & ~np.isfinite(y), rescued, y)
+        undefined = ~(y > 1.0)
+        mu = np.log(y + np.sqrt(np.abs((y - 1.0) * (y + 1.0))))
+        mu[undefined] = np.nan
+        if any_big:
+            use_log = big & (log_y > 40.0)
+            mu[use_log] = (math.log(2.0) + log_y)[use_log]
+        c = lams / mu
+    c[undefined] = np.nan
     return delta, y, mu, c
 
 
@@ -159,9 +163,11 @@ def dispersion_eval(lam: float, p: Parameters) -> DispersionPoint:
 
 
 def _g_minus_G(lam, p: Parameters):
-    """g - G = 2 alpha beta / Delta (bracket - sqrt(d lam) / sinh(s))."""
-    _, b_term, _, delta, bracket = _terms(lam, p)
-    return 2.0 * p.alpha * p.beta / delta * (bracket - b_term)
+    """g - G = 2 alpha beta / Delta (bracket - sqrt(d lam) / sinh(s)) at a
+    float lambda or along a float array of them."""
+    with np.errstate(over="ignore"):
+        _, r_sinh, _, delta, bracket = _terms(lam, p)
+        return 2.0 * p.alpha * p.beta / delta * (bracket - p.d * r_sinh)
 
 
 def _zoom_sign_change(fun, a: float, b: float):
@@ -170,7 +176,7 @@ def _zoom_sign_change(fun, a: float, b: float):
     the first positive value."""
     x = np.linspace(a, b, _ZOOM_POINTS)
     v = fun(x)
-    i = int(np.argmax(v > 0.0)) if v[-1] > 0.0 else len(x) - 1
+    i = int((v > 0.0).argmax()) if v[-1] > 0.0 else len(x) - 1
     i = max(i, 1)
     return float(x[i - 1]), float(x[i]), float(v[i - 1]), float(v[i])
 
@@ -200,7 +206,7 @@ def find_lambda0(p: Parameters) -> float:
 
     resid_a, resid_b = (float(r) for r in y_minus_1(np.array([a, b])))
     while (min(abs(resid_a), abs(resid_b)) > 1e-10
-           and (b - a) > 4.0 * np.finfo(float).eps * max(1.0, b)):
+           and (b - a) > 4.0 * _EPS * max(1.0, b)):
         a, b, resid_a, resid_b = _zoom_sign_change(y_minus_1, a, b)
     lam0, resid = (a, resid_a) if abs(resid_a) <= abs(resid_b) else (b, resid_b)
     if abs(resid) > 1e-10:
@@ -230,9 +236,9 @@ def compute_c_star(p: Parameters) -> DispersionResult:
     for _ in range(2):
         lams = np.geomspace(lo, hi, _GRID_POINTS)
         delta, y, mu, c = _eval_arrays(lams, p)
-        if np.any(~np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise RuntimeError("speed curve undefined inside the scan range")
-        i_min = int(np.argmin(c))
+        i_min = int(c.argmin())
         if i_min < len(lams) - 1:
             break
         hi *= 10.0
@@ -241,7 +247,7 @@ def compute_c_star(p: Parameters) -> DispersionResult:
     a, b = lams[max(i_min - 1, 0)], lams[i_min + 1]
     while (b - a) > 1e-10 * max(1.0, abs(a), abs(b)):
         x = np.linspace(a, b, _ZOOM_POINTS)
-        i = int(np.argmin(_eval_arrays(x, p)[3]))
+        i = int(_eval_arrays(x, p)[3].argmin())
         a, b = x[max(i - 1, 0)], x[min(i + 1, len(x) - 1)]
     lam_star = 0.5 * (a + b)
     point = dispersion_eval(lam_star, p)
@@ -278,8 +284,19 @@ def _hyperbolic_over_sinh(s: float, u):
 
 def _profile_scales(lam: float, p: Parameters):
     """s = sqrt(lam / d), sqrt(lam d) and beta / Delta(lam)."""
-    s, _, _, delta, _ = _terms(lam, p)
+    with np.errstate(over="ignore"):
+        s, _, _, delta, _ = _terms(lam, p)
     return float(s), math.sqrt(lam * p.d), p.beta / float(delta)
+
+
+def _edge_profile(s: float, sq: float, k: float, alpha: float, e_mu: float, left, right):
+    """V and dV/dx at x from the factors (cosh, sinh) / sinh(s) at u = 1 - x
+    (left) and u = x (right); e_mu = e^{-mu}."""
+    cosh_l, sinh_l = left
+    cosh_r, sinh_r = right
+    v = k * (sq * cosh_l + alpha * sinh_l + e_mu * (sq * cosh_r + alpha * sinh_r))
+    vp = k * s * (-sq * sinh_l - alpha * cosh_l) + k * e_mu * s * (sq * sinh_r + alpha * cosh_r)
+    return v, vp
 
 
 def profile_v(x, lam: float, mu: float, p: Parameters):
@@ -290,18 +307,9 @@ def profile_v(x, lam: float, mu: float, p: Parameters):
     """
     x = np.asarray(x, dtype=float)
     s, sq, k = _profile_scales(lam, p)
-    cosh_l, sinh_l = _hyperbolic_over_sinh(s, 1.0 - x)
-    cosh_r, sinh_r = _hyperbolic_over_sinh(s, x)
-    out = k * (sq * cosh_l + p.alpha * sinh_l + math.exp(-mu) * (sq * cosh_r + p.alpha * sinh_r))
+    out, _ = _edge_profile(s, sq, k, p.alpha, math.exp(-mu),
+                           _hyperbolic_over_sinh(s, 1.0 - x), _hyperbolic_over_sinh(s, x))
     return float(out) if out.ndim == 0 else out
-
-
-def _profile_v_prime(x: float, lam: float, mu: float, p: Parameters) -> float:
-    s, sq, k = _profile_scales(lam, p)
-    cosh_l, sinh_l = _hyperbolic_over_sinh(s, 1.0 - x)
-    cosh_r, sinh_r = _hyperbolic_over_sinh(s, x)
-    return float(k * s * (-sq * sinh_l - p.alpha * cosh_l)
-                 + k * math.exp(-mu) * s * (sq * sinh_r + p.alpha * cosh_r))
 
 
 def profile_v_star(x, res: DispersionResult, p: Parameters):
@@ -314,22 +322,23 @@ def exponential_ansatz_residual(lam: float, mu: float, p: Parameters) -> float:
     at (lam, mu, V): mu c = lam, the vertex balance, and both Robin rows."""
     alpha, beta, d, f0 = p.alpha, p.beta, p.d, p.fprime0
     c = lam / mu
-    v0 = profile_v(0.0, lam, mu, p)
-    v1 = profile_v(1.0, lam, mu, p)
-    vp0 = _profile_v_prime(0.0, lam, mu, p)
-    vp1 = _profile_v_prime(1.0, lam, mu, p)
+    s, sq, k = _profile_scales(lam, p)
+    e_mu = math.exp(-mu)
+    cosh_u, sinh_u = _hyperbolic_over_sinh(s, (0.0, 1.0))
+    at_0 = (float(cosh_u[0]), float(sinh_u[0]))   # u = 0
+    at_1 = (float(cosh_u[1]), float(sinh_u[1]))   # u = 1
+    v0, vp0 = _edge_profile(s, sq, k, alpha, e_mu, at_1, at_0)
+    v1, vp1 = _edge_profile(s, sq, k, alpha, e_mu, at_0, at_1)
     # e^mu V(1) = beta / Delta [sqrt(lam d) (e^mu / sinh(s) + coth(s)) + alpha],
     # with e^mu / sinh(s) = 2 e^{mu - s} / (1 - e^{-2 s}): e^mu alone overflows at small d
-    s, sq, k = _profile_scales(lam, p)
-    coth, _ = _hyperbolic_over_sinh(s, 1.0)
-    ev1 = k * (sq * (2.0 * math.exp(mu - s) / -math.expm1(-2.0 * s) + float(coth)) + alpha)
+    ev1 = k * (sq * (2.0 * math.exp(mu - s) / -math.expm1(-2.0 * s) + at_1[0]) + alpha)
     r1 = mu * c - lam
     vertex = f0 + alpha * (v0 + ev1) - 2.0 * beta
     r2 = mu * c - vertex
     r3 = -d * vp0 + alpha * v0 - beta
-    r4 = d * vp1 + alpha * v1 - beta * math.exp(-mu)
+    r4 = d * vp1 + alpha * v1 - beta * e_mu
     s1 = max(1.0, abs(lam))
     s2 = max(1.0, abs(mu * c), abs(f0) + alpha * (abs(v0) + abs(ev1)) + 2.0 * beta)
     s3 = max(1.0, beta, d * abs(vp0) + alpha * abs(v0))
-    s4 = max(1.0, beta * math.exp(-mu), d * abs(vp1) + alpha * abs(v1))
+    s4 = max(1.0, beta * e_mu, d * abs(vp1) + alpha * abs(v1))
     return max(abs(r1) / s1, abs(r2) / s2, abs(r3) / s3, abs(r4) / s4)

@@ -1,9 +1,11 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cityroad import kernels
+from cityroad import asymptotic, kernels
 from cityroad.asymptotic import (
     asymptotic_dispersion_eval,
     compute_c_star_inf,
@@ -95,9 +97,87 @@ class TestCStarInf:
         assert res.psi_residual <= 1e-10
         assert res.dpsi_dmu_residual <= 1e-8
 
+    def test_large_rate_meets_relative_post_checks(self):
+        # |dPsi/dmu| = 1.5e-8 here, roundoff on terms of size 2 c*_inf = 6e6:
+        # an absolute 1e-8 bound rejected it
+        res = compute_c_star_inf(Parameters(1, 1, 1, nonlinearity=logistic(1e8)))
+        assert res.dpsi_dmu_residual <= 1e-8 * 2.0 * res.c_star_inf
+
+    def test_time_rescaling_at_large_rate(self):
+        # (1, 1, 1, 1e6) is the time-rescaled twin of (1e-6, 1e-6, 1e-6, 1)
+        big = compute_c_star_inf(Parameters(1, 1, 1, nonlinearity=logistic(1e6)))
+        small = compute_c_star_inf(Parameters(1e-6, 1e-6, 1e-6, nonlinearity=logistic(1.0)))
+        assert big.c_star_inf == pytest.approx(1e6 * small.c_star_inf, rel=1e-9)
+
     def test_needs_reaction(self):
         with pytest.raises(ValueError):
             compute_c_star_inf(Parameters(1, 1, 1, nonlinearity=logistic(0.0)))
+
+
+def ref_c_star_inf(p):
+    """compute_c_star_inf as written before its default grid and cosh became
+    module constants, without the post-check: (mu*, c*_inf, |Psi|, |dPsi/dmu|)."""
+    def delta_inf(cosh_mu):
+        return ((2.0 * p.alpha - 2.0 * p.beta + p.fprime0) ** 2
+                + 8.0 * p.alpha * p.beta * (1.0 + cosh_mu))
+
+    def root(mu):
+        return -(2.0 * p.alpha + 2.0 * p.beta - p.fprime0) + math.sqrt(delta_inf(math.cosh(mu)))
+
+    ab4 = 4.0 * p.alpha * p.beta
+    b_coef = 2.0 * p.alpha + 2.0 * p.beta - p.fprime0
+    lo, hi = 1e-4, 50.0
+    for _ in range(2):
+        mus = np.geomspace(lo, hi, 2000)
+        cs = (np.sqrt(delta_inf(np.cosh(mus))) - b_coef) / (2.0 * mus)
+        i_min = int(np.argmin(cs))
+        if 0 < i_min < len(mus) - 1:
+            break
+        lo /= 10.0
+        hi *= 10.0
+    mu_star = float(mus[i_min])
+    for _ in range(50):
+        ch, sh = math.cosh(mu_star), math.sinh(mu_star)
+        sq = math.sqrt(delta_inf(ch))
+        g = mu_star * ab4 * sh / sq - (sq - b_coef)
+        g_prime = mu_star * ab4 / sq * (ch - ab4 * sh * sh / (sq * sq))
+        mu_star, previous = min(max(mu_star - g / g_prime, 0.5 * mu_star), 2.0 * mu_star), mu_star
+        if abs(mu_star - previous) <= 4.0 * np.finfo(float).eps * previous:
+            break
+    c_inf = root(mu_star) / (2.0 * mu_star)
+    psi_res = abs(root(mu_star) - 2.0 * mu_star * c_inf)
+    dpsi_res = abs(ab4 * math.sinh(mu_star) / math.sqrt(delta_inf(math.cosh(mu_star)))
+                   - 2.0 * c_inf)
+    return mu_star, c_inf, psi_res, dpsi_res
+
+
+BOX_CORNERS = list(itertools.product((0.1, 10.0), repeat=4))
+
+
+class TestBitIdentical:
+    """The default mu grid and its cosh are module constants; the solve
+    keeps the bits of one that builds them per call."""
+
+    def test_default_grid(self):
+        mus = np.geomspace(1e-4, 50.0, 2000)
+        assert asymptotic._MUS.tobytes() == mus.tobytes()
+        assert asymptotic._COSH_MUS.tobytes() == np.cosh(mus).tobytes()
+        assert not asymptotic._MUS.flags.writeable
+        assert not asymptotic._COSH_MUS.flags.writeable
+
+    # the 16 corners of [0.1, 10]^4, and a rate whose scan widens
+    @pytest.mark.parametrize("q", BOX_CORNERS + [(1.0, 1.0, 1.0, 1e-9)])
+    def test_c_star_inf(self, q):
+        p = Parameters(*q[:3], nonlinearity=logistic(q[3]))
+        res = compute_c_star_inf(p)
+        assert (res.mu_star, res.c_star_inf, res.psi_residual, res.dpsi_dmu_residual) \
+            == ref_c_star_inf(p)
+
+    @pytest.mark.parametrize("q", BOX_CORNERS)
+    def test_warns_nothing(self, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compute_c_star_inf(Parameters(*q[:3], nonlinearity=logistic(q[3])))
 
 
 def step(V, P, dt, p):

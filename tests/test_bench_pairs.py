@@ -11,17 +11,20 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def stdout(wall, correct=True, failed=0):
+def stdout(wall, correct=True, failed=0, rounds=20):
     """What perfbench/run.py prints: a summary, then the result as JSON."""
     result = {"correct": correct, "attempted": 20, "failed": failed,
               "metrics": {"wall_s": {"value": wall, "unit": "s"},
                           "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}
-    return f"workload=limit seed=1 rounds=20\nwall_s = {wall!r} s\n{json.dumps(result)}\n"
+    return (f"workload=limit seed=1 rounds={rounds} attempted=20 failed={failed} "
+            f"correct={correct}\nwall_s = {wall!r} s\n{json.dumps(result)}\n")
 
 
 def run(pair, side, wall, trace=False, **kw):
+    text = stdout(wall, **kw)
     return {"workload": "limit", "pair": pair, "side": side, "trace": trace,
-            "result": bench_pairs.last_json_line(stdout(wall, **kw))}
+            "rounds": bench_pairs.perfbench_rounds(text),
+            "result": bench_pairs.last_json_line(text)}
 
 
 class TestLastJsonLine:
@@ -31,6 +34,16 @@ class TestLastJsonLine:
     @pytest.mark.parametrize("text", ["", "\n\n", "Traceback ...\nValueError: x\n", "[1, 2]\n"])
     def test_no_result(self, text):
         assert bench_pairs.last_json_line(text) is None
+
+
+class TestPerfbenchRounds:
+    def test_reads_the_summary_line(self):
+        assert bench_pairs.perfbench_rounds(stdout(2.5, rounds=77)) == 77
+
+    @pytest.mark.parametrize("text", ["", "Traceback ...\nValueError: x\n",
+                                      "rounds=3\n", "workload=limit seed=1 rounds=\n"])
+    def test_no_summary_line(self, text):
+        assert bench_pairs.perfbench_rounds(text) is None
 
 
 class TestPytestCounts:
@@ -49,11 +62,14 @@ class TestPytestCounts:
 class TestSummarize:
     PARENT = [2.0, 2.4, 2.2, 2.6]
     CHANGE = [1.5, 1.7, 2.3, 1.6]
+    PARENT_ROUNDS = [17, 14, 16, 13]
+    CHANGE_ROUNDS = [23, 20, 15, 21]
 
     def runs(self):
         runs = []
         for pair, (p, c) in enumerate(zip(self.PARENT, self.CHANGE)):
-            runs += [run(pair, "parent", p), run(pair, "change", c)]
+            runs += [run(pair, "parent", p, rounds=self.PARENT_ROUNDS[pair]),
+                     run(pair, "change", c, rounds=self.CHANGE_ROUNDS[pair])]
         return runs + [run(4, "parent", 9.0, trace=True), run(4, "change", 8.0, trace=True)]
 
     def test_medians_quartiles_and_change_lower(self):
@@ -69,6 +85,9 @@ class TestSummarize:
         assert wall["change_lower"] == 3  # pair 2: 2.3 against 2.2
         assert entry["metrics"]["peak_rss_mb"]["change_lower"] == 0  # ties count for neither
         assert entry["failed_of_attempted"]["parent"] == ["0/20"] * 4
+        assert entry["rounds"] == {
+            "parent": {"median": 15.0, "q1": 13.75, "q3": 16.25, "runs": self.PARENT_ROUNDS},
+            "change": {"median": 20.5, "q1": 18.75, "q3": 21.5, "runs": self.CHANGE_ROUNDS}}
         assert entry["traced"] == {"parent": {"wall_s": 9.0, "peak_rss_mb": 40.0},
                                    "change": {"wall_s": 8.0, "peak_rss_mb": 40.0}}
 
@@ -78,6 +97,7 @@ class TestSummarize:
         entry = bench_pairs.summarize(runs)["limit"]
         assert entry["pairs"] == 3
         assert entry["metrics"]["wall_s"]["parent"]["runs"] == self.PARENT[1:]
+        assert entry["rounds"]["parent"]["runs"] == self.PARENT_ROUNDS[1:]
         assert not bench_pairs.all_correct(runs)
 
     def test_incorrect_run(self):

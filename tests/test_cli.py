@@ -247,6 +247,13 @@ class TestCommands:
         assert proc.returncode == 0, proc.stderr
         assert "c_star_inf=" in proc.stdout
 
+    def test_limit_speed_solves_at_fprime0_1e6(self, tmp_path):
+        # Psi's terms are about 1e6 here, so its post-check bound scales with
+        # them: an absolute 1e-10 sat at roundoff (|Psi| = 2.3e-10)
+        proc = run_cli(["speed", "--set", "parameters.fprime0=1e6"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "c_star_inf=42524.43" in proc.stdout
+
     def test_limit_speed_post_check_is_one_line_error(self, tmp_path, monkeypatch, capsys):
         # a failed tangency post-check is reported as one line with exit 4
         def fail(p):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,6 +9,8 @@ from cityroad import dispersion
 from cityroad.dispersion import (
     _eval_arrays,
     _g_minus_G,
+    _ratios,
+    _terms,
     compute_c_star,
     dispersion_eval,
     exponential_ansatz_residual,
@@ -300,3 +303,215 @@ class TestGeneralProfiles:
         x = np.linspace(0, 1, 7)
         assert np.allclose(profile_v(x, res.lambda_star, res.mu_star, p),
                            profile_v_star(x, res, p))
+
+
+# The evaluation as written before it skipped the branches no element needs:
+# both np.where branches on every element, mu and c masked by np.where, and
+# the ansatz residual reading a fresh profile for each of its five terms.
+def ref_ratios(s):
+    s = np.asarray(s, dtype=float)
+    small = s < 1e-4
+    s_safe = np.where(small, 1.0, s)
+    with np.errstate(over="ignore"):
+        sinh = np.sinh(s_safe)
+        tanh = np.tanh(s_safe)
+    r_tanh = np.where(small, 1.0 + s**2 / 3.0, s_safe / tanh)
+    r_sinh = np.where(small, 1.0 - s**2 / 6.0, np.where(np.isinf(sinh), 0.0, s_safe / sinh))
+    sinh_over_s = np.where(small, 1.0 + s**2 / 6.0, sinh / s_safe)
+    return r_tanh, r_sinh, sinh_over_s
+
+
+def ref_log_sinh(s):
+    return s - math.log(2.0) + np.log1p(-np.exp(-2.0 * s))
+
+
+def ref_terms(lams, p):
+    alpha, beta, d, f0 = p.alpha, p.beta, p.d, p.fprime0
+    lams = np.asarray(lams, dtype=float)
+    s = np.sqrt(lams / d)
+    r_tanh, r_sinh, sinh_over_s = ref_ratios(s)
+    a_term = d * r_tanh
+    delta = alpha**2 + d * lams + 2.0 * alpha * a_term
+    bracket = delta / (2.0 * alpha * beta) * (lams + 2.0 * beta - f0) - (alpha + a_term)
+    return s, d * r_sinh, sinh_over_s, delta, bracket
+
+
+def ref_eval_arrays(lams, p):
+    d = p.d
+    lams = np.asarray(lams, dtype=float)
+    s, _, sinh_over_s, delta, bracket = ref_terms(lams, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = bracket * sinh_over_s / d
+    big = s > 300.0
+    log_y = np.zeros_like(y)
+    if np.any(big):
+        lb = np.log(np.maximum(np.abs(bracket), 1e-300))
+        log_y = np.where(big, lb + ref_log_sinh(s) - np.log(d * np.maximum(s, 1.0)), 0.0)
+        rescued = np.sign(bracket) * np.exp(np.minimum(log_y, 709.0))
+        y = np.where(big & ~np.isfinite(y), rescued, y)
+    defined = y > 1.0
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        mu = np.where(defined, np.log(y + np.sqrt(np.abs((y - 1.0) * (y + 1.0)))), np.nan)
+    if np.any(big):
+        use_log = big & (log_y > 40.0)
+        mu = np.where(use_log, math.log(2.0) + log_y, mu)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = np.where(defined, lams / mu, np.nan)
+    return delta, y, mu, c
+
+
+def ref_g_minus_G(lam, p):
+    _, b_term, _, delta, bracket = ref_terms(lam, p)
+    return 2.0 * p.alpha * p.beta / delta * (bracket - b_term)
+
+
+def ref_hyperbolic_over_sinh(s, u):
+    u = np.asarray(u, dtype=float)
+    scale = np.exp(-s * (1.0 - u)) / -math.expm1(-2.0 * s)
+    return scale * (1.0 + np.exp(-2.0 * s * u)), -scale * np.expm1(-2.0 * s * u)
+
+
+def ref_profile_scales(lam, p):
+    s, _, _, delta, _ = ref_terms(lam, p)
+    return float(s), math.sqrt(lam * p.d), p.beta / float(delta)
+
+
+def ref_profile_v(x, lam, mu, p):
+    x = np.asarray(x, dtype=float)
+    s, sq, k = ref_profile_scales(lam, p)
+    cosh_l, sinh_l = ref_hyperbolic_over_sinh(s, 1.0 - x)
+    cosh_r, sinh_r = ref_hyperbolic_over_sinh(s, x)
+    out = k * (sq * cosh_l + p.alpha * sinh_l + math.exp(-mu) * (sq * cosh_r + p.alpha * sinh_r))
+    return float(out) if out.ndim == 0 else out
+
+
+def ref_profile_v_prime(x, lam, mu, p):
+    s, sq, k = ref_profile_scales(lam, p)
+    cosh_l, sinh_l = ref_hyperbolic_over_sinh(s, 1.0 - x)
+    cosh_r, sinh_r = ref_hyperbolic_over_sinh(s, x)
+    return float(k * s * (-sq * sinh_l - p.alpha * cosh_l)
+                 + k * math.exp(-mu) * s * (sq * sinh_r + p.alpha * cosh_r))
+
+
+def ref_residual(lam, mu, p):
+    alpha, beta, d, f0 = p.alpha, p.beta, p.d, p.fprime0
+    c = lam / mu
+    v0 = ref_profile_v(0.0, lam, mu, p)
+    v1 = ref_profile_v(1.0, lam, mu, p)
+    vp0 = ref_profile_v_prime(0.0, lam, mu, p)
+    vp1 = ref_profile_v_prime(1.0, lam, mu, p)
+    s, sq, k = ref_profile_scales(lam, p)
+    coth, _ = ref_hyperbolic_over_sinh(s, 1.0)
+    ev1 = k * (sq * (2.0 * math.exp(mu - s) / -math.expm1(-2.0 * s) + float(coth)) + alpha)
+    r1 = mu * c - lam
+    vertex = f0 + alpha * (v0 + ev1) - 2.0 * beta
+    r2 = mu * c - vertex
+    r3 = -d * vp0 + alpha * v0 - beta
+    r4 = d * vp1 + alpha * v1 - beta * math.exp(-mu)
+    s1 = max(1.0, abs(lam))
+    s2 = max(1.0, abs(mu * c), abs(f0) + alpha * (abs(v0) + abs(ev1)) + 2.0 * beta)
+    s3 = max(1.0, beta, d * abs(vp0) + alpha * abs(v0))
+    s4 = max(1.0, beta * math.exp(-mu), d * abs(vp1) + alpha * abs(v1))
+    return max(abs(r1) / s1, abs(r2) / s2, abs(r3) / s3, abs(r4) / s4)
+
+
+def assert_same_bits(got, want):
+    """Equal values, NaNs included, down to the bit pattern."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# s = sqrt(lambda / d): all below the Taylor switchover (zero included), all
+# between the switchovers (both ends included), all in log space (sinh
+# overflows above 710), and all three shuffled together.
+S_GRIDS = {
+    "taylor": np.concatenate([[0.0], np.geomspace(1e-12, 9.99e-5, 40)]),
+    "normal": np.geomspace(1e-4, 300.0, 300),
+    "log": np.geomspace(300.0 * (1.0 + 1e-15), 1e4, 60),
+}
+S_GRIDS["mixed"] = np.random.default_rng(5).permutation(np.concatenate(list(S_GRIDS.values())))
+# (alpha, beta, d, f'(0)), with d from the small-d log-space regime to the large
+BIT_PARAMS = [(1.0, 1.0, 1.0, 1.0), (0.3, 2.0, 5.0, 0.7), (1.0, 1.0, 1e-7, 1.0),
+              (2.0, 0.5, 1e8, 3.0)]
+# c* solves from the Taylor side (large d) to the log-space side (small d)
+D_POINTS = [1e-12, 1e-8, 1e-7, 1.0, 1e8]
+
+
+class TestBitIdentical:
+    """The evaluation skips the Taylor and log-space branches where no
+    element needs them, but every element still sees the same IEEE
+    operations in the same order, so results equal the reference's bits."""
+
+    @staticmethod
+    def lams(kind, d):
+        return S_GRIDS[kind] ** 2 * d
+
+    @pytest.mark.parametrize("kind", list(S_GRIDS))
+    def test_ratios(self, kind):
+        with np.errstate(over="ignore"):
+            got = _ratios(S_GRIDS[kind])
+        for g, w in zip(got, ref_ratios(S_GRIDS[kind])):
+            assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("q", BIT_PARAMS)
+    @pytest.mark.parametrize("kind", list(S_GRIDS))
+    def test_terms_and_eval_arrays(self, kind, q):
+        p = Parameters(*q[:3], nonlinearity=logistic(q[3]))
+        lams = self.lams(kind, p.d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _terms(lams, p)
+        want = ref_terms(lams, p)
+        for g, w in zip(got[:1] + got[2:], want[:1] + want[2:]):
+            assert_same_bits(g, w)
+        assert_same_bits(p.d * got[1], want[1])
+        with np.errstate(divide="ignore"):  # the reference's log1p(-1) at s = 0
+            want = ref_eval_arrays(lams, p)
+        for g, w in zip(_eval_arrays(lams, p), want):
+            assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("q", BIT_PARAMS)
+    @pytest.mark.parametrize("kind", list(S_GRIDS))
+    def test_g_minus_G(self, kind, q):
+        p = Parameters(*q[:3], nonlinearity=logistic(q[3]))
+        lams = self.lams(kind, p.d)
+        assert_same_bits(_g_minus_G(lams, p), ref_g_minus_G(lams, p))
+        for lam in lams[::7]:
+            assert _g_minus_G(float(lam), p) == ref_g_minus_G(float(lam), p)
+
+    @pytest.mark.parametrize("q", BIT_PARAMS)
+    @pytest.mark.parametrize("kind", list(S_GRIDS))
+    def test_profile_and_residual(self, kind, q):
+        p = Parameters(*q[:3], nonlinearity=logistic(q[3]))
+        x = np.linspace(0.0, 1.0, 9)
+        for lam in self.lams(kind, p.d)[1::9]:
+            for mu in (0.01, 1.0, 30.0):
+                assert (exponential_ansatz_residual(float(lam), mu, p)
+                        == ref_residual(float(lam), mu, p))
+                assert profile_v(0.3, float(lam), mu, p) == ref_profile_v(0.3, float(lam), mu, p)
+                assert_same_bits(profile_v(x, float(lam), mu, p), ref_profile_v(x, float(lam), mu, p))
+
+    @pytest.mark.parametrize("d", D_POINTS)
+    def test_compute_c_star(self, d, monkeypatch):
+        # the solver with its evaluations swapped for the reference's
+        p = params(d=d)
+        got = compute_c_star(p)
+        monkeypatch.setattr(dispersion, "_eval_arrays", ref_eval_arrays)
+        monkeypatch.setattr(dispersion, "_g_minus_G", ref_g_minus_G)
+        monkeypatch.setattr(dispersion, "exponential_ansatz_residual", ref_residual)
+        want = compute_c_star(p)
+        assert (got.lambda0, got.lambda_star, got.mu_star, got.c_star) == \
+            (want.lambda0, want.lambda_star, want.mu_star, want.c_star)
+        assert got.local_minima == want.local_minima
+        for name in ("lam", "delta", "y", "mu", "c"):
+            assert_same_bits(getattr(got.scan, name), getattr(want.scan, name))
+        assert (exponential_ansatz_residual(got.lambda_star, got.mu_star, p)
+                == ref_residual(want.lambda_star, want.mu_star, p))
+
+
+@pytest.mark.parametrize("d", D_POINTS)
+def test_c_star_warns_nothing(d):
+    # sinh overflows at small d; the evaluation keeps it silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compute_c_star(params(d=d))
