@@ -21,8 +21,10 @@ verify and Tier-1 timing, the latter with the counts of pytest's summary
 line, and each side's median and quartiles of their wall times; and the
 machine: CPUs, CPU model, Python, numpy, BLAS, the
 ``OPENBLAS_NUM_THREADS`` and ``PYTHONDONTWRITEBYTECODE`` settings and the
-load average at start and end.  The exit status is 1 if any run reported
-``correct: false`` or printed no result, else 0.
+load average at start and end; and per side the checked-out commit and
+whether its tree differs from it (``git status --porcelain`` prints
+anything), both null outside a git checkout.  The exit status is 1 if any
+run reported ``correct: false`` or printed no result, else 0.
 """
 
 from __future__ import annotations
@@ -156,6 +158,20 @@ def machine_facts() -> dict:
     }
 
 
+def checkout_facts(root: Path) -> dict:
+    """The commit checked out at ``root`` and whether the tree differs from
+    it; both None outside a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+    try:
+        head = git("rev-parse", "HEAD")
+        if head.returncode != 0:
+            return {"commit": None, "dirty": None}
+        return {"commit": head.stdout.strip(), "dirty": bool(git("status", "--porcelain").stdout)}
+    except OSError:  # no git
+        return {"commit": None, "dirty": None}
+
+
 def _run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: bool):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(int(trace))]
@@ -209,6 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
+    checkouts = {side: checkout_facts(roots[side]) for side in SIDES}
     load_start = os.getloadavg()
     runs = []
     for workload in args.workloads:
@@ -235,6 +252,7 @@ def main(argv=None) -> int:
                       "change_lower = pairs in which the change's value is lower",
         "machine": {**machine_facts(), "loadavg_start": load_start,
                     "loadavg_end": os.getloadavg()},
+        "checkouts": checkouts,
         "summary": summarize(runs),
         "verify": verify,
         "tier1": tier1,

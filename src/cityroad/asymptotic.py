@@ -11,9 +11,10 @@ whose exponential solutions satisfy Psi(c, mu) = 0 with
     DeltaInf(mu) = (2 alpha - 2 beta + f'(0))^2 + 8 alpha beta (1 + cosh mu),
     Psi(c, mu) = -(2 alpha + 2 beta - f'(0)) + sqrt(DeltaInf(mu)) - 2 mu c.
 
-The limit speed is the minimum over mu > 0 of the positive root
-c_plus(mu) = (-(2 alpha + 2 beta - f'(0)) + sqrt(DeltaInf)) / (2 mu).  This
-module integrates the ODE lattice through the shared driver
+The limit speed is the unique minimum over mu > 0 of the positive root
+c_plus(mu) = root(mu) / (2 mu), root = sqrt(DeltaInf) - (2 alpha + 2 beta -
+f'(0)), found by Newton's method from mu = 1 with the root formed without
+cancellation.  This module integrates the ODE lattice through the shared driver
 ``lattice_sim.run_system``, with one classical RK4 step per road level
 (``kernels.advance_asym``) in place of the Crank-Nicolson edge update; its
 snapshots are ``LatticeState``s whose roads hold one sample, the level V_j.
@@ -48,16 +49,8 @@ __all__ = [
     "large_d_convergence_experiment",
 ]
 
-# Geometric mu grid whose smallest c_plus starts Newton's method; a minimum on
-# the scan endpoint widens the range tenfold each way, once.
-_GRID_POINTS = 2000
-_MU_RANGE = (1e-4, 50.0)
 _NEWTON_ITERATIONS = 50
 _EPS = float(np.finfo(float).eps)
-# The default scan grid and its cosh, shared by every solve.
-_MUS = np.geomspace(*_MU_RANGE, _GRID_POINTS)
-_COSH_MUS = np.cosh(_MUS)
-_MUS.flags.writeable = _COSH_MUS.flags.writeable = False
 
 
 class AsymptoticDispersion(NamedTuple):
@@ -74,10 +67,22 @@ class AsymptoticSpeed:
     dpsi_dmu_residual: float
 
 
-def _delta_inf(cosh_mu, p: Parameters):
-    """DeltaInf from cosh(mu); takes a float or an array."""
+def _delta_inf(cosh_mu: float, p: Parameters) -> float:
+    """DeltaInf from cosh(mu)."""
     alpha, beta, f0 = p.alpha, p.beta, p.fprime0
     return (2.0 * alpha - 2.0 * beta + f0) ** 2 + 8.0 * alpha * beta * (1.0 + cosh_mu)
+
+
+def _root(mu: float, sq: float, p: Parameters) -> float:
+    """root(mu) = sq - b from sq = sqrt(DeltaInf(mu)), b = 2 alpha + 2 beta - f'(0).
+    For b > 0 that difference cancels, so it is formed as
+    8 alpha (f'(0) + 2 beta sinh^2(mu/2)) / (sq + b), since
+    DeltaInf - b^2 = 8 alpha (f'(0) + 2 beta sinh^2(mu/2))."""
+    b = 2.0 * p.alpha + 2.0 * p.beta - p.fprime0
+    if b <= 0.0:
+        return sq - b
+    sh = math.sinh(0.5 * mu)
+    return 8.0 * p.alpha * (p.fprime0 + 2.0 * p.beta * sh * sh) / (sq + b)
 
 
 def asymptotic_dispersion_eval(mu: float, c: float, p: Parameters) -> AsymptoticDispersion:
@@ -85,43 +90,36 @@ def asymptotic_dispersion_eval(mu: float, c: float, p: Parameters) -> Asymptotic
     if mu < 0:
         raise ValueError("mu must be >= 0")
     delta = _delta_inf(math.cosh(mu), p)
-    root = -(2.0 * p.alpha + 2.0 * p.beta - p.fprime0) + math.sqrt(delta)
+    root = _root(mu, math.sqrt(delta), p)
     psi = root - 2.0 * mu * c
     c_plus = root / (2.0 * mu) if mu > 0 else math.inf
     return AsymptoticDispersion(psi, delta, c_plus)
 
 
 def compute_c_star_inf(p: Parameters) -> AsymptoticSpeed:
-    """Minimize c_plus over mu > 0 (geometric grid, then Newton's method on
-    the tangency condition) and verify Psi = 0 and dPsi/dmu = 0 at the
-    optimum, each to a bound relative to the size of its terms."""
+    """Minimize c_plus over mu > 0 by Newton's method on the tangency
+    condition from mu = 1, each step clamped to [mu/2, 2 mu], and verify
+    Psi = 0 and dPsi/dmu = 0 at the optimum, each to a bound relative to the
+    size of its terms.  One start serves every rate, as the minimum is
+    unique: c_plus' = g / (2 mu^2), and g(mu) = mu root' - root rises
+    (g' = mu root'' > 0) from g(0) = -root(0) < 0."""
     if p.fprime0 <= 0:
         raise ValueError("limit speed needs f'(0) > 0")
     ab4 = 4.0 * p.alpha * p.beta
     b_coef = 2.0 * p.alpha + 2.0 * p.beta - p.fprime0
-    mus, cosh_mus = _MUS, _COSH_MUS
-    for widen in (False, True):
-        if widen:
-            lo, hi = _MU_RANGE
-            mus = np.geomspace(lo / 10.0, hi * 10.0, _GRID_POINTS)
-            cosh_mus = np.cosh(mus)
-        cs = (np.sqrt(_delta_inf(cosh_mus, p)) - b_coef) / (2.0 * mus)
-        i_min = int(cs.argmin())
-        if 0 < i_min < len(mus) - 1:
-            break
-    else:
-        raise RuntimeError("limit-speed minimum stuck at the scan endpoint")
-    # Newton's method on g(mu) = mu root' - root, increasing as g' = mu root'' > 0;
     # with D = DeltaInf, root' = 4ab sinh / sqrt(D), root'' = 4ab / sqrt(D) (cosh - 4ab sinh^2 / D)
-    mu_star = float(mus[i_min])
+    mu_star = 1.0
     for _ in range(_NEWTON_ITERATIONS):
         ch, sh = math.cosh(mu_star), math.sinh(mu_star)
         sq = math.sqrt(_delta_inf(ch, p))
-        g = mu_star * ab4 * sh / sq - (sq - b_coef)
+        g = mu_star * ab4 * sh / sq - _root(mu_star, sq, p)
         g_prime = mu_star * ab4 / sq * (ch - ab4 * sh * sh / (sq * sq))
         mu_star, previous = min(max(mu_star - g / g_prime, 0.5 * mu_star), 2.0 * mu_star), mu_star
         if abs(mu_star - previous) <= 4.0 * _EPS * previous:
             break
+    else:  # as when mu* <= 1.4e-14: the halvings from mu = 1 leave too few steps
+        raise RuntimeError(f"limit-speed Newton iteration unconverged after "
+                           f"{_NEWTON_ITERATIONS} steps, at mu = {mu_star:.3e}")
     at_star = asymptotic_dispersion_eval(mu_star, 0.0, p)
     c_inf = at_star.c_plus
     sq = math.sqrt(at_star.delta_inf)

@@ -39,7 +39,6 @@ __all__ = [
     "init_state",
     "compatibility_residual",
     "check_dt",
-    "check_blow_up",
     "run_system",
     "simulate",
     "stiffness_dt_cap",
@@ -219,17 +218,6 @@ def check_dt(dt: float, p: Parameters) -> None:
         raise ValueError(f"dt={dt:g} exceeds the stiffness cap {cap:g}")
 
 
-def check_blow_up(p: Parameters, v0, rho0, v, rho, t: float) -> None:
-    """Raise BlowUpError unless edges ``v`` and vertices ``rho`` at time t are
-    finite and within 10 max(beta/alpha, 1, |v0|, |rho0|), the scale of the
-    state (v0, rho0) they were advanced from."""
-    threshold = 10.0 * max(p.beta / p.alpha, 1.0, float(np.max(np.abs(rho0))),
-                           float(np.max(np.abs(v0))))
-    worst = float(np.maximum(np.max(np.abs(rho)), np.max(np.abs(v))))  # unlike max(), keeps NaN
-    if not math.isfinite(worst) or worst > threshold:
-        raise BlowUpError(f"solution reached {worst:.3e} by t={t:g}, threshold {threshold:.3e}")
-
-
 def run_system(cfg: SimulationConfig, p: Parameters, j_min: int, v, rho, advance,
                on_snapshot=None) -> Trajectory:
     """Step edges ``v`` and vertices ``rho`` on the window that starts at
@@ -238,20 +226,23 @@ def run_system(cfg: SimulationConfig, p: Parameters, j_min: int, v, rho, advance
     ``LatticeState(j_min, rho, v.reshape(len(v), -1), t)`` and its
     ``total_mass`` plus the accumulated leak: ``v`` is (n_edges, m+1) on the
     lattice, or one level per edge in the fast-diffusion limit, which gives
-    its snapshots one sample per road.  Each snapshot is checked for
-    blow-up, the a-priori bounds (values >= 0, vertices <= max(1, max rho0),
-    edges <= max(beta/alpha, max v0), each to within _BOUND_TOL, relative to
-    max(1, initial max) on the upper bounds) and contamination: mass
-    reaching a window end that started empty.  ``on_snapshot``, if given, is
-    called with each snapshot once it is checked and recorded."""
+    its snapshots one sample per road.  Each snapshot's extremes are checked
+    for blow-up (BlowUpError unless finite and within 10 max(beta/alpha, 1,
+    max|rho0|, max|v0|) in size), then the a-priori bounds (values >= 0,
+    vertices <= max(1, max rho0), edges <= max(beta/alpha, max v0), each to
+    within _BOUND_TOL, relative to max(1, initial max) on the upper bounds);
+    the snapshot is also checked for contamination: mass reaching a window
+    end that started empty.  ``on_snapshot``, if given, is called with each
+    snapshot once it is checked and recorded."""
     check_dt(cfg.dt, p)
     nsteps = round(cfg.T / cfg.dt)
     if nsteps < 1 or abs(nsteps * cfg.dt - cfg.T) > 1e-9 * cfg.T:
         raise ValueError("T must be a positive integer multiple of dt")
     stride = cfg.snapshot_stride or max(1, round(nsteps / 200))
 
-    v0, rho0 = v, rho
     rho_max0, v_max0 = float(np.max(rho)), float(np.max(v))
+    threshold = 10.0 * max(p.beta / p.alpha, 1.0, float(np.max(np.abs(rho))),
+                           float(np.max(np.abs(v))))
     rho_hi = max(rho_max0, 1.0) + _BOUND_TOL * max(1.0, rho_max0)
     v_hi = max(v_max0, p.beta / p.alpha) + _BOUND_TOL * max(1.0, v_max0)
     ends = [end for end in (0, -1) if rho[end] == 0.0]
@@ -271,13 +262,17 @@ def run_system(cfg: SimulationConfig, p: Parameters, j_min: int, v, rho, advance
         leak += dleak
         done += chunk
         t = done * cfg.dt
-        check_blow_up(p, v0, rho0, v, rho, t)
-        lo = min(float(np.min(rho)), float(np.min(v)))
+        extremes = rho_lo, rho_max, v_lo, v_max = rho.min(), rho.max(), v.min(), v.max()
+        worst = float(np.max(np.abs(extremes)))  # unlike max(), keeps NaN
+        if not math.isfinite(worst) or worst > threshold:
+            raise BlowUpError(f"solution reached {worst:.3e} by t={t:g}, "
+                              f"threshold {threshold:.3e}")
+        lo = float(min(rho_lo, v_lo))
         if lo < -_BOUND_TOL:
             raise RuntimeError(f"positivity violated at t={t:g}: min value {lo:.3e}")
-        if float(np.max(rho)) > rho_hi:
+        if rho_max > rho_hi:
             raise RuntimeError(f"vertex bound violated at t={t:g}")
-        if float(np.max(v)) > v_hi:
+        if v_max > v_hi:
             raise RuntimeError(f"edge bound violated at t={t:g}")
     return Trajectory(snapshots=tuple(snapshots), mass=np.array(series),
                       contaminated=contaminated)

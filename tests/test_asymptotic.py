@@ -2,10 +2,11 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from cityroad import asymptotic, kernels
+from cityroad import kernels
 from cityroad.asymptotic import (
     asymptotic_dispersion_eval,
     compute_c_star_inf,
@@ -90,8 +91,7 @@ class TestCStarInf:
         assert mu1 < c_inf.mu_star < mu2
 
     def test_widened_scan(self):
-        # mu* = 4.47e-5 lies below the first scan's lower end 1e-4, so the
-        # minimum sits on that endpoint and the scan widens tenfold each way
+        # mu* = 4.47e-5, more than four decades below Newton's start at mu = 1
         res = compute_c_star_inf(Parameters(1, 1, 1, nonlinearity=logistic(1e-9)))
         assert res.mu_star < 1e-4
         assert res.psi_residual <= 1e-10
@@ -109,69 +109,54 @@ class TestCStarInf:
         small = compute_c_star_inf(Parameters(1e-6, 1e-6, 1e-6, nonlinearity=logistic(1.0)))
         assert big.c_star_inf == pytest.approx(1e6 * small.c_star_inf, rel=1e-9)
 
+    def test_unreachable_minimum_rejected_by_name(self):
+        # mu* = 1.4e-15 takes 49 halvings from mu = 1, leaving too few steps;
+        # the last iterate passes both post-checks with c*_inf 0.55% high
+        with pytest.raises(RuntimeError, match="unconverged after 50 steps"):
+            compute_c_star_inf(Parameters(1, 1, 1, nonlinearity=logistic(1e-30)))
+
     def test_needs_reaction(self):
         with pytest.raises(ValueError):
             compute_c_star_inf(Parameters(1, 1, 1, nonlinearity=logistic(0.0)))
 
 
-def ref_c_star_inf(p):
-    """compute_c_star_inf as written before its default grid and cosh became
-    module constants, without the post-check: (mu*, c*_inf, |Psi|, |dPsi/dmu|)."""
-    def delta_inf(cosh_mu):
-        return ((2.0 * p.alpha - 2.0 * p.beta + p.fprime0) ** 2
-                + 8.0 * p.alpha * p.beta * (1.0 + cosh_mu))
+def oracle_c_star_inf(q, mu0):
+    """min over mu > 0 of c_plus at 60 digits: the root of
+    g(mu) = mu root'(mu) - root(mu), found from mu0."""
+    with mpmath.workdps(60):
+        alpha, beta, f0 = (mpmath.mpf(x) for x in (q[0], q[1], q[3]))
+        b = 2 * alpha + 2 * beta - f0
 
-    def root(mu):
-        return -(2.0 * p.alpha + 2.0 * p.beta - p.fprime0) + math.sqrt(delta_inf(math.cosh(mu)))
+        def sq(mu):
+            return mpmath.sqrt((2 * alpha - 2 * beta + f0) ** 2
+                               + 8 * alpha * beta * (1 + mpmath.cosh(mu)))
 
-    ab4 = 4.0 * p.alpha * p.beta
-    b_coef = 2.0 * p.alpha + 2.0 * p.beta - p.fprime0
-    lo, hi = 1e-4, 50.0
-    for _ in range(2):
-        mus = np.geomspace(lo, hi, 2000)
-        cs = (np.sqrt(delta_inf(np.cosh(mus))) - b_coef) / (2.0 * mus)
-        i_min = int(np.argmin(cs))
-        if 0 < i_min < len(mus) - 1:
-            break
-        lo /= 10.0
-        hi *= 10.0
-    mu_star = float(mus[i_min])
-    for _ in range(50):
-        ch, sh = math.cosh(mu_star), math.sinh(mu_star)
-        sq = math.sqrt(delta_inf(ch))
-        g = mu_star * ab4 * sh / sq - (sq - b_coef)
-        g_prime = mu_star * ab4 / sq * (ch - ab4 * sh * sh / (sq * sq))
-        mu_star, previous = min(max(mu_star - g / g_prime, 0.5 * mu_star), 2.0 * mu_star), mu_star
-        if abs(mu_star - previous) <= 4.0 * np.finfo(float).eps * previous:
-            break
-    c_inf = root(mu_star) / (2.0 * mu_star)
-    psi_res = abs(root(mu_star) - 2.0 * mu_star * c_inf)
-    dpsi_res = abs(ab4 * math.sinh(mu_star) / math.sqrt(delta_inf(math.cosh(mu_star)))
-                   - 2.0 * c_inf)
-    return mu_star, c_inf, psi_res, dpsi_res
+        def g(mu):
+            return mu * 4 * alpha * beta * mpmath.sinh(mu) / sq(mu) - (sq(mu) - b)
+
+        mu = mpmath.findroot(g, mpmath.mpf(mu0))
+        return (sq(mu) - b) / (2 * mu)
 
 
 BOX_CORNERS = list(itertools.product((0.1, 10.0), repeat=4))
+# beyond the corners: a tiny, a small and a huge f'(0), and rates far apart,
+# where sqrt(DeltaInf) - (2 alpha + 2 beta - f'(0)) cancels
+ORACLE_POINTS = BOX_CORNERS + [
+    (1.0, 1.0, 1.0, 1e-9), (0.1, 10.0, 1.0, 0.1), (1.0, 1.0, 1.0, 1e-12),
+    (1.0, 1.0, 1.0, 1e8), (1.0, 1e6, 1.0, 1.0), (1e6, 1.0, 1.0, 1.0),
+    (1e-6, 1.0, 1e-6, 1e-6), (0.1, 1e5, 1.0, 1e-5),
+]
 
 
 class TestBitIdentical:
-    """The default mu grid and its cosh are module constants; the solve
-    keeps the bits of one that builds them per call."""
+    """c*_inf to its last bits: within 2 ulps of the 60-digit minimum, and
+    with no floating-point warning."""
 
-    def test_default_grid(self):
-        mus = np.geomspace(1e-4, 50.0, 2000)
-        assert asymptotic._MUS.tobytes() == mus.tobytes()
-        assert asymptotic._COSH_MUS.tobytes() == np.cosh(mus).tobytes()
-        assert not asymptotic._MUS.flags.writeable
-        assert not asymptotic._COSH_MUS.flags.writeable
-
-    # the 16 corners of [0.1, 10]^4, and a rate whose scan widens
-    @pytest.mark.parametrize("q", BOX_CORNERS + [(1.0, 1.0, 1.0, 1e-9)])
+    @pytest.mark.parametrize("q", ORACLE_POINTS)
     def test_c_star_inf(self, q):
-        p = Parameters(*q[:3], nonlinearity=logistic(q[3]))
-        res = compute_c_star_inf(p)
-        assert (res.mu_star, res.c_star_inf, res.psi_residual, res.dpsi_dmu_residual) \
-            == ref_c_star_inf(p)
+        res = compute_c_star_inf(Parameters(*q[:3], nonlinearity=logistic(q[3])))
+        ref = oracle_c_star_inf(q, res.mu_star)
+        assert abs(res.c_star_inf / ref - 1) <= 4.5e-16
 
     @pytest.mark.parametrize("q", BOX_CORNERS)
     def test_warns_nothing(self, q):

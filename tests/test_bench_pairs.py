@@ -150,3 +150,38 @@ class TestTimeChecks:
                                                "criteria": 2}
         tier1 = bench_pairs.time_checks(self.ROOTS, bench_pairs._time_tier1)
         assert tier1["change"]["runs"][-1] == {"wall_s": 12.0, "exit": 0, "passed": 2}
+
+
+class TestCheckoutFacts:
+    """Each side's commit and whether its tree differs, with git stubbed."""
+
+    def stub(self, monkeypatch, head_code=0, status="", missing=False):
+        calls = []
+
+        def run(cmd, **kwargs):
+            calls.append(cmd)
+            if missing:
+                raise FileNotFoundError("git")
+            out = "0123abcd\n" if cmd[3] == "rev-parse" else status
+            return SimpleNamespace(returncode=head_code if cmd[3] == "rev-parse" else 0,
+                                   stdout=out)
+
+        monkeypatch.setattr(bench_pairs, "subprocess", SimpleNamespace(run=run))
+        return calls
+
+    def test_clean_checkout(self, monkeypatch):
+        calls = self.stub(monkeypatch)
+        assert bench_pairs.checkout_facts(Path("/parent")) == {"commit": "0123abcd",
+                                                               "dirty": False}
+        assert calls == [["git", "-C", "/parent", "rev-parse", "HEAD"],
+                         ["git", "-C", "/parent", "status", "--porcelain"]]
+
+    def test_modified_tree(self, monkeypatch):
+        self.stub(monkeypatch, status=" M src/cityroad/asymptotic.py\n")
+        assert bench_pairs.checkout_facts(Path("/change")) == {"commit": "0123abcd",
+                                                               "dirty": True}
+
+    @pytest.mark.parametrize("kw", [{"head_code": 128}, {"missing": True}])
+    def test_outside_a_git_checkout(self, monkeypatch, kw):
+        self.stub(monkeypatch, **kw)
+        assert bench_pairs.checkout_facts(Path("/tmp/x")) == {"commit": None, "dirty": None}

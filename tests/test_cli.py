@@ -254,6 +254,15 @@ class TestCommands:
         assert proc.returncode == 0, proc.stderr
         assert "c_star_inf=42524.43" in proc.stdout
 
+    def test_limit_speed_below_limit_when_beta_dwarfs_alpha(self, tmp_path):
+        # sqrt(DeltaInf) - (2 alpha + 2 beta - f'(0)) cancels here: formed as
+        # that difference, the root read 0 and so did c_star_inf
+        proc = run_cli(["speed", "--set", "parameters.alpha=0.1", "--set", "parameters.beta=1e5",
+                        "--set", "parameters.fprime0=1e-5"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        fields = dict(kv.split("=") for kv in proc.stdout.splitlines()[0].split())
+        assert 0.0 < float(fields["c_star"]) < float(fields["c_star_inf"])
+
     def test_limit_speed_post_check_is_one_line_error(self, tmp_path, monkeypatch, capsys):
         # a failed tangency post-check is reported as one line with exit 4
         def fail(p):

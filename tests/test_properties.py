@@ -3,7 +3,8 @@
 Scaling every rate (alpha, beta, d, f'(0)) by k is the time change t -> k t,
 so it multiplies c* and c*_inf by exactly k; faster road diffusion can only
 speed the front up, and the fast-diffusion limit bounds c* from above.  Each
-property also runs at the 16 corners of the box.
+property also runs at the 16 corners of the box.  The time rescaling of
+c*_inf also runs over the log box [1e-6, 1e6]^4.
 """
 
 import itertools
@@ -15,6 +16,7 @@ from cityroad.dispersion import compute_c_star
 from cityroad.model import Parameters, logistic
 
 rate = st.floats(0.1, 10.0)
+log_rate = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)  # log-uniform on [1e-6, 1e6]
 box_settings = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
 
@@ -60,6 +62,19 @@ def test_c_star_inf_time_rescaling(alpha, beta, d, f0, k):
     # also: the solver returns, post-checks passed, everywhere in the box
     c = compute_c_star_inf(params(alpha, beta, d, f0)).c_star_inf
     c_k = compute_c_star_inf(params(k * alpha, k * beta, k * d, k * f0)).c_star_inf
+    assert abs(c_k - k * c) <= 1e-9 * k * c
+
+
+@box_settings
+@given(alpha=log_rate, beta=log_rate, d=log_rate, f0=log_rate, k=log_rate)
+@example(alpha=1.0, beta=1.0, d=1.0, f0=1.0, k=1e-14)
+@example(alpha=1.0, beta=1.0, d=1.0, f0=1.0, k=1e14)
+@example(alpha=0.1, beta=1e5, d=1.0, f0=1e-5, k=1e-14)  # beta/alpha = 1e6
+@example(alpha=0.1, beta=1e5, d=1.0, f0=1e-5, k=1e14)
+def test_c_star_inf_time_rescaling_log_box(alpha, beta, d, f0, k):
+    c = compute_c_star_inf(params(alpha, beta, d, f0)).c_star_inf
+    c_k = compute_c_star_inf(params(k * alpha, k * beta, k * d, k * f0)).c_star_inf
+    assert c > 0.0 and c_k > 0.0
     assert abs(c_k - k * c) <= 1e-9 * k * c
 
 
