@@ -15,7 +15,12 @@ each checkout, timed, the sides alternating in the same way.
 The record holds every run's last-line JSON and its round count (from
 perfbench's ``workload=... rounds=N`` line); per workload and metric the
 median and quartiles (numpy linear interpolation) of each side and
-``change_lower``, the pairs in which the change's value is lower; per
+``change_lower``, the pairs in which the change's value is lower; for each
+end-to-end metric that the change checkout's ``BENCHMARK.json`` declares,
+``relative_change`` (change median / parent median - 1) and a ``verdict``
+from that file's ``bound`` and ``better``: ``worse`` when the change is
+worse by more than the bound, else ``unresolved`` when the parent's
+interquartile range exceeds the bound times its median, else ``ok``; per
 workload each side's median and quartiles of the round counts; every
 verify and Tier-1 timing, the latter with the counts of pytest's summary
 line, and each side's median and quartiles of their wall times; and the
@@ -87,15 +92,42 @@ def _stats(values) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
-def summarize(runs: list[dict]) -> dict:
+def verdict(metric: dict, bound: float, better: str) -> dict:
+    """``relative_change`` of a summarized metric, change median over parent
+    median minus 1, and its ``verdict``: ``worse`` beyond ``bound`` in the
+    direction that ``better`` ("lower" or "higher") calls worse, else
+    ``unresolved`` when the parent's interquartile range over its median
+    exceeds ``bound``, else ``ok``."""
+    parent = metric["parent"]
+    relative = metric["change"]["median"] / parent["median"] - 1.0
+    spread = (parent["q3"] - parent["q1"]) / parent["median"]
+    worse = relative > bound if better == "lower" else relative < -bound
+    return {"relative_change": relative,
+            "verdict": "worse" if worse else "unresolved" if spread > bound else "ok"}
+
+
+def end_to_end_bounds(root: Path) -> dict:
+    """Name -> ``{"bound", "better"}`` for each end-to-end metric declared in
+    ``root``'s BENCHMARK.json, or {} without one."""
+    try:
+        declared = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    except (OSError, ValueError, KeyError):
+        return {}
+    return {m["name"]: {"bound": m["bound"], "better": m["better"]} for m in declared}
+
+
+def summarize(runs: list[dict], end_to_end: dict | None = None) -> dict:
     """Per workload and metric, each side's median and quartiles over the
-    untraced pairs and the count of pairs where the change reads lower; each
-    side's median and quartiles of the round counts over those pairs; and
-    each side's traced per-layer values.
+    untraced pairs and the count of pairs where the change reads lower, and
+    for the metrics named in ``end_to_end`` (name -> ``{"bound",
+    "better"}``) the ``verdict`` fields; each side's median and quartiles of
+    the round counts over those pairs; and each side's traced per-layer
+    values.
 
     ``runs`` holds ``{"workload", "pair", "side", "trace", "rounds",
     "result"}`` records, ``result`` being a run's last-line JSON or None and
     ``rounds`` its round count or None."""
+    end_to_end = end_to_end or {}
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
@@ -122,11 +154,13 @@ def summarize(runs: list[dict]) -> dict:
         for name in names:
             values = {side: [p[side]["metrics"][name]["value"] for p in results]
                       for side in SIDES}
-            entry["metrics"][name] = {
+            metric = entry["metrics"][name] = {
                 "unit": names[name]["unit"],
                 **{side: {**_stats(values[side]), "runs": values[side]} for side in SIDES},
                 "change_lower": sum(c < p for p, c in zip(values["parent"], values["change"])),
             }
+            if name in end_to_end:
+                metric.update(verdict(metric, **end_to_end[name]))
         entry["traced"] = {r["side"]: {k: m["value"] for k, m in r["result"]["metrics"].items()}
                            for r in runs
                            if r["workload"] == workload and r["trace"] and r["result"]}
@@ -249,11 +283,15 @@ def main(argv=None) -> int:
                     "--seconds", str(args.seconds)],
         "statistics": "median and quartiles (numpy linear interpolation) over the untraced "
                       "pairs, and for verify and tier1 over their runs per side; "
-                      "change_lower = pairs in which the change's value is lower",
+                      "change_lower = pairs in which the change's value is lower; "
+                      "relative_change = change median / parent median - 1, and verdict "
+                      "from the change's BENCHMARK.json bound and better: worse beyond "
+                      "the bound, else unresolved when the parent's IQR / median exceeds "
+                      "it, else ok",
         "machine": {**machine_facts(), "loadavg_start": load_start,
                     "loadavg_end": os.getloadavg()},
         "checkouts": checkouts,
-        "summary": summarize(runs),
+        "summary": summarize(runs, end_to_end_bounds(roots["change"])),
         "verify": verify,
         "tier1": tier1,
         "runs": runs,

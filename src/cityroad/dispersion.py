@@ -1,26 +1,38 @@
 """Linear spreading speed from the dispersion relation of the coupled system.
 
 Exponential solutions e^{-mu (j - c t)} of the linearization around the empty
-state exist when cosh(lambda / c) = y(lambda), with
+state exist when cosh(lambda / c) = y(lambda).  With s = sqrt(lambda / d),
+A = sqrt(d lambda) coth(s), B = sqrt(d lambda) / sinh(s) and
 
-    Delta(lambda) = alpha^2 + d lambda + 2 sqrt(d lambda) alpha / tanh(s),
-    y(lambda) = [Delta/(2 alpha beta) (lambda + 2 beta - f'(0))
-                 - (alpha + sqrt(d lambda)/tanh(s))] sinh(s)/sqrt(d lambda),
+    Delta(lambda) = alpha^2 + d lambda + 2 alpha A,
 
-where s = sqrt(lambda / d).  The decay rate is mu(lambda) = arccosh(y) once
-y > 1, which happens exactly above a unique threshold lambda0, and the
-spreading speed is the minimum of c(lambda) = lambda / mu(lambda) over
-(lambda0, inf).  A global geometric scan locates the minimum before local
+the increasing line g(lambda) = lambda + 2 beta - f'(0) meets the decreasing
+exchange curve G(lambda) = 2 alpha beta (alpha + A + B) / Delta once, and
+
+    g - G = (lambda - f'(0)) + 2 beta d (lambda + alpha s tanh(s/2)) / Delta,
+
+because 2 beta - G = 2 beta (d lambda + alpha (A - B)) / Delta and
+A - B = d s (coth s - csch s) = d s tanh(s/2).  Every term but
+lambda - f'(0) is positive, so g - G is formed without cancellation, and
+
+    y - 1 = Delta sinh(s) / (2 alpha beta d s) (g - G)
+
+inherits its accuracy and its sign.  The decay rate is
+mu(lambda) = arccosh(y) = log1p((y - 1) + sqrt((y - 1)(y + 1))) once y > 1,
+which happens exactly above the unique threshold lambda0 where g - G changes
+sign, and the spreading speed is the minimum of c(lambda) = lambda / mu(lambda)
+over (lambda0, inf).  A global geometric scan locates the minimum before local
 refinement because uniqueness of the minimizer is only conjectured; every
 grid-local minimum is reported.  Threshold and minimizer are refined by
-zooming a bracket onto the sign change or the smallest c on a linspace.
+zooming a bracket onto the sign change of g - G or the smallest c on a
+linspace, each to a width relative to the bracket's end.
 
-A solve is a few dozen evaluations of y on a few hundred points, so it runs
-at numpy's per-call cost, not at its arithmetic.  Each evaluation therefore
+A solve is a few dozen evaluations on a few hundred points, so it runs at
+numpy's per-call cost, not at its arithmetic.  Each evaluation therefore
 enters one ``np.errstate``, computes the Taylor branch (s < 1e-4) and the
 log-space branch (s > 300) only when some element needs them, and masks the
-undefined mu and c in place; every element still sees the same IEEE
-operations in the same order as with both branches computed everywhere.
+undefined mu in place; every element still sees the same IEEE operations in
+the same order as with both branches computed everywhere.
 """
 
 from __future__ import annotations
@@ -89,23 +101,16 @@ class DispersionResult:
 
 
 def _ratios(s):
-    """(sqrt(d lam)/tanh s, sqrt(d lam)/sinh s, sinh s/sqrt(d lam)) divided by d.
-
-    Returns the three s-dependent factors r_tanh = s/tanh s, r_sinh = s/sinh s
-    and their reciprocal companion sinh s / s, Taylor-expanded below the
-    switchover to avoid 0/0; r_sinh is 0 where sinh overflows.  The Taylor
-    branch runs only when some element needs it.  Callers hold the errstate.
-    """
+    """The s-dependent factors s / tanh(s) and sinh(s) / s, Taylor-expanded
+    below the switchover to avoid 0/0.  The Taylor branch runs only when
+    some element needs it.  Callers hold the errstate."""
     small = s < _TAYLOR_SWITCH
     if not np.count_nonzero(small):
-        sinh = np.sinh(s)
-        return s / np.tanh(s), s / sinh, sinh / s
+        return s / np.tanh(s), np.sinh(s) / s
     s_safe = np.where(small, 1.0, s)
-    sinh = np.sinh(s_safe)
     r_tanh = np.where(small, 1.0 + s**2 / 3.0, s_safe / np.tanh(s_safe))
-    r_sinh = np.where(small, 1.0 - s**2 / 6.0, s_safe / sinh)
-    sinh_over_s = np.where(small, 1.0 + s**2 / 6.0, sinh / s_safe)
-    return r_tanh, r_sinh, sinh_over_s
+    sinh_over_s = np.where(small, 1.0 + s**2 / 6.0, np.sinh(s_safe) / s_safe)
+    return r_tanh, sinh_over_s
 
 
 def _log_sinh(s):
@@ -113,43 +118,41 @@ def _log_sinh(s):
 
 
 def _terms(lams, p: Parameters):
-    """s, s / sinh(s), sinh(s) / s, Delta and the bracket of y at a float
-    lambda or along a float array of them.  Callers hold the errstate."""
+    """s, sinh(s) / s, Delta and g - G at a float lambda or along a float
+    array of them.  Callers hold the errstate."""
     alpha, beta, d, f0 = p.alpha, p.beta, p.d, p.fprime0
     s = np.sqrt(lams / d)
-    r_tanh, r_sinh, sinh_over_s = _ratios(s)
-    a_term = d * r_tanh        # sqrt(d lam) / tanh(s)
-    delta = alpha**2 + d * lams + 2.0 * alpha * a_term
-    bracket = delta / (2.0 * alpha * beta) * (lams + 2.0 * beta - f0) - (alpha + a_term)
-    return s, r_sinh, sinh_over_s, delta, bracket
+    r_tanh, sinh_over_s = _ratios(s)
+    delta = alpha**2 + d * lams + 2.0 * alpha * (d * r_tanh)
+    g_minus_G = (lams - f0) + 2.0 * beta * d * (lams + alpha * s * np.tanh(0.5 * s)) / delta
+    return s, sinh_over_s, delta, g_minus_G
 
 
 def _eval_arrays(lams: np.ndarray, p: Parameters):
     """Vectorized (delta, y, mu, c) along a float array of lambdas; mu, c are
     NaN where y <= 1.  The log-space branch runs only when some s exceeds
     its switchover."""
-    d = p.d
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s, _, sinh_over_s, delta, bracket = _terms(lams, p)
-        y = bracket * sinh_over_s / d
-        # log-space rescue of |y| where sinh overflowed; y keeps the sign of
-        # the bracket, so below the threshold it stays below 1
+        s, sinh_over_s, delta, g_minus_G = _terms(lams, p)
+        scale = delta / (2.0 * p.alpha * p.beta * p.d)
+        ym1 = scale * g_minus_G * sinh_over_s
+        # log-space rescue of |y - 1| where sinh overflowed; y - 1 keeps the
+        # sign of g - G, so below the threshold y stays below 1
         big = s > _LOG_SWITCH
         any_big = np.count_nonzero(big)
         if any_big:
-            lb = np.log(np.maximum(np.abs(bracket), 1e-300))
-            log_y = np.where(big, lb + _log_sinh(s) - np.log(d * np.maximum(s, 1.0)), 0.0)
-            rescued = np.sign(bracket) * np.exp(np.minimum(log_y, _HUGE_LOG))
-            y = np.where(big & ~np.isfinite(y), rescued, y)
-        undefined = ~(y > 1.0)
-        mu = np.log(y + np.sqrt(np.abs((y - 1.0) * (y + 1.0))))
-        mu[undefined] = np.nan
+            lg = np.log(np.maximum(scale * np.abs(g_minus_G), 1e-300))
+            log_ym1 = np.where(big, lg + _log_sinh(s) - np.log(s), 0.0)
+            rescued = np.sign(g_minus_G) * np.exp(np.minimum(log_ym1, _HUGE_LOG))
+            ym1 = np.where(big & ~np.isfinite(ym1), rescued, ym1)
+        undefined = ~(ym1 > 0.0)
+        # sqrt(y - 1) sqrt(y + 1): their product overflows from y ~ 1e154
+        mu = np.log1p(ym1 + np.sqrt(ym1) * np.sqrt(ym1 + 2.0))
         if any_big:
-            use_log = big & (log_y > 40.0)
-            mu[use_log] = (math.log(2.0) + log_y)[use_log]
-        c = lams / mu
-    c[undefined] = np.nan
-    return delta, y, mu, c
+            use_log = big & (log_ym1 > 40.0)
+            mu[use_log] = (math.log(2.0) + log_ym1)[use_log]
+        mu[undefined] = np.nan
+        return delta, ym1 + 1.0, mu, lams / mu
 
 
 def dispersion_eval(lam: float, p: Parameters) -> DispersionPoint:
@@ -163,11 +166,9 @@ def dispersion_eval(lam: float, p: Parameters) -> DispersionPoint:
 
 
 def _g_minus_G(lam, p: Parameters):
-    """g - G = 2 alpha beta / Delta (bracket - sqrt(d lam) / sinh(s)) at a
-    float lambda or along a float array of them."""
+    """g - G at a float lambda or along a float array of them."""
     with np.errstate(over="ignore"):
-        _, r_sinh, _, delta, bracket = _terms(lam, p)
-        return 2.0 * p.alpha * p.beta / delta * (bracket - p.d * r_sinh)
+        return _terms(lam, p)[3]
 
 
 def _zoom_sign_change(fun, a: float, b: float):
@@ -182,12 +183,11 @@ def _zoom_sign_change(fun, a: float, b: float):
 
 
 def find_lambda0(p: Parameters) -> float:
-    """Unique lambda where y = 1, i.e. where the increasing line
-    g(lambda) = lambda + 2 beta - f'(0) crosses the decreasing exchange curve
-    G(lambda).  Bracketed by doubling, then zoomed to relative width 1e-12
-    and polished on y - 1.  The result is certified by |y(lambda0) - 1| <=
-    1e-10 or, where y is too steep for that, by g - G changing sign across
-    the final bracket of a few ulps."""
+    """Unique lambda where y = 1, i.e. where the increasing g - G changes
+    sign.  Bracketed by doubling from [0, 1], then zoomed on g - G until the
+    bracket [a, b] is 4 eps b wide.  The bracket is the certificate:
+    g - G(a) <= 0 < g - G(b), else the threshold post-check fails.  Returns
+    the end with the smaller |g - G|."""
     if p.fprime0 <= 0:
         raise ValueError("threshold needs f'(0) > 0")
     a = 0.0
@@ -196,27 +196,12 @@ def find_lambda0(p: Parameters) -> float:
         b *= 2.0
         if not math.isfinite(b):
             raise RuntimeError("no finite dispersion threshold: inadmissible parameters")
-    while (b - a) > 1e-12 * max(1.0, 0.5 * (a + b)):
-        a, b, _, _ = _zoom_sign_change(lambda lam: _g_minus_G(lam, p), a, b)
-    # y - 1 equals (Delta / (2 alpha beta B)) (g - G) with a factor that grows
-    # as d shrinks, so polish the root on y - 1 itself down to the post-check
-    # tolerance (the bracket from the g - G zoom still encloses it).
-    def y_minus_1(lams):
-        return _eval_arrays(lams, p)[1] - 1.0
-
-    resid_a, resid_b = (float(r) for r in y_minus_1(np.array([a, b])))
-    while (min(abs(resid_a), abs(resid_b)) > 1e-10
-           and (b - a) > 4.0 * _EPS * max(1.0, b)):
-        a, b, resid_a, resid_b = _zoom_sign_change(y_minus_1, a, b)
-    lam0, resid = (a, resid_a) if abs(resid_a) <= abs(resid_b) else (b, resid_b)
-    if abs(resid) > 1e-10:
-        # y can jump across 1 within one ulp of lambda (small d); the monotone
-        # g - G still brackets the root if it changes sign across [a, b]
-        g_a, g_b = (float(g) for g in _g_minus_G(np.array([a, b]), p))
-        if not g_a <= 0.0 < g_b:
-            raise RuntimeError(f"threshold post-check failed: |y - 1| = {abs(resid):.3e} "
-                               f"and g - G = ({g_a:.3e}, {g_b:.3e}) at the bracket ends")
-    return lam0
+    while b - a > 4.0 * _EPS * b:
+        a, b, g_a, g_b = _zoom_sign_change(lambda lam: _g_minus_G(lam, p), a, b)
+    if not g_a <= 0.0 < g_b:
+        raise RuntimeError(f"threshold post-check failed: g - G = ({g_a:.3e}, {g_b:.3e}) "
+                           f"at the bracket ends")
+    return a if abs(g_a) <= abs(g_b) else b
 
 
 def compute_c_star(p: Parameters) -> DispersionResult:
@@ -236,7 +221,7 @@ def compute_c_star(p: Parameters) -> DispersionResult:
     for _ in range(2):
         lams = np.geomspace(lo, hi, _GRID_POINTS)
         delta, y, mu, c = _eval_arrays(lams, p)
-        if not np.isfinite(c).all():
+        if not (c > 0.0).all():
             raise RuntimeError("speed curve undefined inside the scan range")
         i_min = int(c.argmin())
         if i_min < len(lams) - 1:
@@ -245,7 +230,7 @@ def compute_c_star(p: Parameters) -> DispersionResult:
     else:
         raise RuntimeError("speed minimum stuck at the scan endpoint")
     a, b = lams[max(i_min - 1, 0)], lams[i_min + 1]
-    while (b - a) > 1e-10 * max(1.0, abs(a), abs(b)):
+    while b - a > 1e-10 * b:
         x = np.linspace(a, b, _ZOOM_POINTS)
         i = int(_eval_arrays(x, p)[3].argmin())
         a, b = x[max(i - 1, 0)], x[min(i + 1, len(x) - 1)]
@@ -268,7 +253,7 @@ def compute_c_star(p: Parameters) -> DispersionResult:
         local_minima=local_minima,
     )
     res = exponential_ansatz_residual(result.lambda_star, result.mu_star, p)
-    if res > 1e-8:
+    if not res <= 1e-8:
         raise RuntimeError(f"exponential ansatz residual {res:.3e} exceeds 1e-8")
     return result
 
@@ -285,7 +270,7 @@ def _hyperbolic_over_sinh(s: float, u):
 def _profile_scales(lam: float, p: Parameters):
     """s = sqrt(lam / d), sqrt(lam d) and beta / Delta(lam)."""
     with np.errstate(over="ignore"):
-        s, _, _, delta, _ = _terms(lam, p)
+        s, _, delta, _ = _terms(lam, p)
     return float(s), math.sqrt(lam * p.d), p.beta / float(delta)
 
 

@@ -91,6 +91,35 @@ class TestSummarize:
         assert entry["traced"] == {"parent": {"wall_s": 9.0, "peak_rss_mb": 40.0},
                                    "change": {"wall_s": 8.0, "peak_rss_mb": 40.0}}
 
+    def test_verdicts_from_end_to_end_bounds(self):
+        # wall_s: parent median 2.3 with IQR 0.3 (0.13 of it), change median 1.65
+        bounds = {"wall_s": {"bound": 0.25, "better": "lower"},
+                  "peak_rss_mb": {"bound": 0.1, "better": "lower"}}
+        metrics = bench_pairs.summarize(self.runs(), bounds)["limit"]["metrics"]
+        assert metrics["wall_s"]["relative_change"] == pytest.approx(1.65 / 2.3 - 1.0)
+        assert metrics["wall_s"]["verdict"] == "ok"
+        assert metrics["peak_rss_mb"]["relative_change"] == 0.0
+        assert metrics["peak_rss_mb"]["verdict"] == "ok"
+        assert "verdict" not in bench_pairs.summarize(self.runs())["limit"]["metrics"]["wall_s"]
+
+    @pytest.mark.parametrize("bound,better,expected", [
+        (0.25, "higher", "worse"),     # 28% lower where higher is better
+        (0.1, "lower", "unresolved"),  # better, but the parent spreads 13% > 10%
+        (0.1, "higher", "worse"),      # worse beyond the bound wins over the spread
+        (0.3, "higher", "ok"),
+    ])
+    def test_verdict(self, bound, better, expected):
+        bounds = {"wall_s": {"bound": bound, "better": better}}
+        wall = bench_pairs.summarize(self.runs(), bounds)["limit"]["metrics"]["wall_s"]
+        assert wall["verdict"] == expected
+
+    def test_bounds_read_from_benchmark_json(self, tmp_path):
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+        assert bench_pairs.end_to_end_bounds(tmp_path) == {
+            "wall_s": {"bound": 0.25, "better": "lower"}}
+        assert bench_pairs.end_to_end_bounds(tmp_path / "missing") == {}
+
     def test_incomplete_pair_is_left_out(self):
         runs = self.runs()
         runs[1]["result"] = None  # the change's run of pair 0 printed nothing

@@ -263,6 +263,30 @@ class TestCommands:
         fields = dict(kv.split("=") for kv in proc.stdout.splitlines()[0].split())
         assert 0.0 < float(fields["c_star"]) < float(fields["c_star_inf"])
 
+    @pytest.mark.parametrize("rates", [
+        # lambda0 = 5e-10: an absolute zoom stop left the scan's first point below it
+        ["parameters.fprime0=1e-9"],
+        # lambda0 = 2.2e-16, which an absolute zoom stop rounded to 0
+        ["parameters.alpha=4.189132974784821e-06", "parameters.beta=197905.90603727652",
+         "parameters.d=1297.5617943799105", "parameters.fprime0=1.0603549495470298e-05"],
+    ])
+    def test_speed_solves_at_tiny_threshold(self, rates, tmp_path, capsys):
+        args = [a for rate in rates for a in ("--set", rate)]
+        assert main(["speed", *args, *outdir_arg(tmp_path / "out")]) == 0
+        fields = dict(kv.split("=") for kv in capsys.readouterr().out.splitlines()[0].split())
+        assert 0.0 < float(fields["lambda0"]) < float(fields["lambda_star"])
+        assert 0.0 < float(fields["c_star"]) < float(fields["c_star_inf"])
+
+    def test_speed_at_fprime0_1e_12_finds_one_minimum(self, tmp_path, capsys):
+        # y - 1 is about 1e-12 here: formed as a difference of O(1) terms its
+        # noise made grid-local minima, and c* came out 6.9e-5 low
+        assert main(["speed", "--set", "parameters.fprime0=1e-12",
+                     *outdir_arg(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "grid-local minima" not in out
+        fields = dict(kv.split("=") for kv in out.splitlines()[0].split())
+        assert float(fields["c_star"]) == pytest.approx(5.773502691896e-07, rel=1e-12)
+
     def test_limit_speed_post_check_is_one_line_error(self, tmp_path, monkeypatch, capsys):
         # a failed tangency post-check is reported as one line with exit 4
         def fail(p):

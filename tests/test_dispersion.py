@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 
 from cityroad import dispersion
 from cityroad.dispersion import (
+    _EPS,
     _eval_arrays,
     _g_minus_G,
     _ratios,
@@ -28,27 +30,88 @@ def params(fprime0=1.0, d=1.0, alpha=1.0, beta=1.0):
 def mp_y(lam, alpha, beta, d, f0, dps=50, to=float):
     """Independent high-precision evaluation of the closed form."""
     with mpmath.workdps(dps):
-        lam = mpmath.mpf(lam)
+        lam, alpha, beta, d, f0 = (mpmath.mpf(v) for v in (lam, alpha, beta, d, f0))
         s = mpmath.sqrt(lam / d)
         sq = mpmath.sqrt(d * lam)
-        delta = alpha**2 + d * lam + 2 * sq * alpha / mpmath.tanh(s)
-        y = (delta / (2 * alpha * beta) * (lam + 2 * beta - f0)
-             - (alpha + sq / mpmath.tanh(s))) * mpmath.sinh(s) / sq
+        # at lambda = 0, sqrt(d lambda) / tanh(s) -> d and sinh(s) / sqrt(d lambda) -> 1 / d
+        a, sinh_over_sq = (d, 1 / d) if lam == 0 else (sq / mpmath.tanh(s), mpmath.sinh(s) / sq)
+        delta = alpha**2 + d * lam + 2 * alpha * a
+        y = (delta / (2 * alpha * beta) * (lam + 2 * beta - f0) - (alpha + a)) * sinh_over_sq
         return to(y)
 
 
-def mp_threshold(alpha, beta, d, f0, guess, dps=50):
-    """Root of g - G = lambda + 2 beta - f'(0) - 2 alpha beta / Delta
-    (alpha + sqrt(d lambda) (coth(s) + 1 / sinh(s))) in high precision."""
-    def g_minus_G(lam):
-        s = mpmath.sqrt(lam / d)
-        sq = mpmath.sqrt(d * lam)
-        delta = alpha**2 + d * lam + 2 * sq * alpha / mpmath.tanh(s)
-        exchange = alpha + sq / mpmath.tanh(s) + sq / mpmath.sinh(s)
-        return lam + 2 * beta - f0 - 2 * alpha * beta / delta * exchange
+def mp_g_minus_G(lam, alpha, beta, d, f0):
+    """g - G = lambda + 2 beta - f'(0) - G with the exchange curve
+    G = 2 alpha beta / Delta (alpha + sqrt(d lambda) (coth(s) + 1 / sinh(s))),
+    at the working precision, and its term scale lambda + f'(0) + (2 beta - G)."""
+    lam, alpha, beta, d, f0 = (mpmath.mpf(v) for v in (lam, alpha, beta, d, f0))
+    s = mpmath.sqrt(lam / d)
+    sq = mpmath.sqrt(d * lam)
+    # sqrt(d lambda) coth(s) and sqrt(d lambda) / sinh(s) both tend to d at 0
+    a, b = (d, d) if lam == 0 else (sq / mpmath.tanh(s), sq / mpmath.sinh(s))
+    delta = alpha**2 + d * lam + 2 * alpha * a
+    exchange = 2 * alpha * beta / delta * (alpha + a + b)
+    return lam + 2 * beta - f0 - exchange, lam + f0 + (2 * beta - exchange)
 
+
+def mp_threshold(alpha, beta, d, f0):
+    """Root of g - G at the working precision: bracketed within a factor 2
+    by doubling and halving from 1, then Anderson's bracketing method."""
+    def f(lam):
+        return mp_g_minus_G(lam, alpha, beta, d, f0)[0]
+
+    b = mpmath.mpf(1)
+    while f(b) <= 0:
+        b *= 2
+    while f(b / 2) > 0:
+        b /= 2
+    return mpmath.findroot(f, (b / 2, b), solver="anderson")
+
+
+def mp_speed(alpha, beta, d, f0, dps=80):
+    """(lambda0, c*) in dps digits.  c(lambda) = lambda / arccosh(y) is
+    minimized by golden-section search over u = log(lambda / lambda0 - 1) in
+    [-60, log 1e6], on which it is unimodal (mpmath.findroot on its
+    derivative does not converge at small f'(0))."""
     with mpmath.workdps(dps):
-        return float(mpmath.findroot(g_minus_G, guess))
+        alpha, beta, d, f0 = (mpmath.mpf(v) for v in (alpha, beta, d, f0))
+        lam0 = mp_threshold(alpha, beta, d, f0)
+
+        def c(u):
+            lam = lam0 * (1 + mpmath.exp(u))
+            return lam / mpmath.acosh(mp_y(lam, alpha, beta, d, f0, dps=dps, to=mpmath.mpf))
+
+        r = (mpmath.sqrt(5) - 1) / 2
+        lo, hi = mpmath.mpf(-60), mpmath.log(mpmath.mpf(10) ** 6)
+        x1, x2 = hi - r * (hi - lo), lo + r * (hi - lo)
+        c1, c2 = c(x1), c(x2)
+        while hi - lo > mpmath.mpf(10) ** -14:
+            if c1 < c2:
+                hi, x2, c2 = x2, x1, c1
+                x1 = hi - r * (hi - lo)
+                c1 = c(x1)
+            else:
+                lo, x1, c1 = x1, x2, c2
+                x2 = lo + r * (hi - lo)
+                c2 = c(x2)
+        return lam0, min(c1, c2)
+
+
+def mp_conditions(alpha, beta, d, f0, dps=80):
+    """Condition numbers of lambda0 and c*: the sums over the four rates of
+    |d log lambda0 / d log rate| and |d log c* / d log rate|, by relative
+    perturbations of 1e-20."""
+    with mpmath.workdps(dps):
+        q = [mpmath.mpf(v) for v in (alpha, beta, d, f0)]
+        base = mp_speed(*q, dps=dps)
+        h = mpmath.mpf(10) ** -20
+        totals = [0, 0]
+        for i in range(4):
+            bumped = list(q)
+            bumped[i] *= 1 + h
+            for k, value in enumerate(mp_speed(*bumped, dps=dps)):
+                totals[k] += abs(value / base[k] - 1) / h
+        return tuple(float(t) for t in totals)
 
 
 class TestEval:
@@ -113,19 +176,20 @@ class TestLambda0:
         # carried in log space and keeps its sign, and jumps across 1 at lambda0
         p = params(d=1e-7)
         lam0 = find_lambda0(p)
-        assert lam0 == pytest.approx(mp_threshold(1.0, 1.0, 1e-7, 1.0, lam0), rel=1e-12)
+        with mpmath.workdps(50):
+            assert lam0 == pytest.approx(float(mp_threshold(1.0, 1.0, 1e-7, 1.0)), rel=1e-12)
         _, y, _, _ = _eval_arrays(lam0 * np.array([1.0 - 1e-12, 1.0 + 1e-12]), p)
         assert y[0] < 1.0 < y[1]
 
     def test_steep_threshold_needs_sign_change_of_g_minus_G(self, monkeypatch):
-        # at d = 1e-7 |y(lambda0) - 1| stays far above 1e-10, so the
-        # post-check evaluates g - G at the final bracket ends (the one call
-        # on two points); where it does not change sign the check must fail
+        # at d = 1e-7 y jumps across 1 within an ulp of lambda0, so the zoom's
+        # bracket is the certificate: a g - G that loses its sign change
+        # inside the zoom (here: negative on every zoom point) must fail it
         p = params(d=1e-7)
         real = _g_minus_G
 
         def no_sign_change(lam, p):
-            return np.ones(2) if np.size(lam) == 2 else real(lam, p)
+            return -np.ones(np.size(lam)) if np.ndim(lam) else real(lam, p)
 
         monkeypatch.setattr(dispersion, "_g_minus_G", no_sign_change)
         with pytest.raises(RuntimeError, match="threshold post-check failed"):
@@ -305,7 +369,7 @@ class TestGeneralProfiles:
                            profile_v_star(x, res, p))
 
 
-# The evaluation as written before it skipped the branches no element needs:
+# The evaluation written without skipping the branches no element needs:
 # both np.where branches on every element, mu and c masked by np.where, and
 # the ansatz residual reading a fresh profile for each of its five terms.
 def ref_ratios(s):
@@ -316,9 +380,8 @@ def ref_ratios(s):
         sinh = np.sinh(s_safe)
         tanh = np.tanh(s_safe)
     r_tanh = np.where(small, 1.0 + s**2 / 3.0, s_safe / tanh)
-    r_sinh = np.where(small, 1.0 - s**2 / 6.0, np.where(np.isinf(sinh), 0.0, s_safe / sinh))
     sinh_over_s = np.where(small, 1.0 + s**2 / 6.0, sinh / s_safe)
-    return r_tanh, r_sinh, sinh_over_s
+    return r_tanh, sinh_over_s
 
 
 def ref_log_sinh(s):
@@ -329,40 +392,39 @@ def ref_terms(lams, p):
     alpha, beta, d, f0 = p.alpha, p.beta, p.d, p.fprime0
     lams = np.asarray(lams, dtype=float)
     s = np.sqrt(lams / d)
-    r_tanh, r_sinh, sinh_over_s = ref_ratios(s)
+    r_tanh, sinh_over_s = ref_ratios(s)
     a_term = d * r_tanh
     delta = alpha**2 + d * lams + 2.0 * alpha * a_term
-    bracket = delta / (2.0 * alpha * beta) * (lams + 2.0 * beta - f0) - (alpha + a_term)
-    return s, d * r_sinh, sinh_over_s, delta, bracket
+    g_minus_G = (lams - f0) + 2.0 * beta * d * (lams + alpha * s * np.tanh(0.5 * s)) / delta
+    return s, sinh_over_s, delta, g_minus_G
 
 
 def ref_eval_arrays(lams, p):
-    d = p.d
     lams = np.asarray(lams, dtype=float)
-    s, _, sinh_over_s, delta, bracket = ref_terms(lams, p)
+    s, sinh_over_s, delta, g_minus_G = ref_terms(lams, p)
+    scale = delta / (2.0 * p.alpha * p.beta * p.d)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = bracket * sinh_over_s / d
+        ym1 = scale * g_minus_G * sinh_over_s
     big = s > 300.0
-    log_y = np.zeros_like(y)
+    log_ym1 = np.zeros_like(ym1)
     if np.any(big):
-        lb = np.log(np.maximum(np.abs(bracket), 1e-300))
-        log_y = np.where(big, lb + ref_log_sinh(s) - np.log(d * np.maximum(s, 1.0)), 0.0)
-        rescued = np.sign(bracket) * np.exp(np.minimum(log_y, 709.0))
-        y = np.where(big & ~np.isfinite(y), rescued, y)
-    defined = y > 1.0
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        mu = np.where(defined, np.log(y + np.sqrt(np.abs((y - 1.0) * (y + 1.0)))), np.nan)
+        lg = np.log(np.maximum(scale * np.abs(g_minus_G), 1e-300))
+        log_ym1 = np.where(big, lg + ref_log_sinh(s) - np.log(s), 0.0)
+        rescued = np.sign(g_minus_G) * np.exp(np.minimum(log_ym1, 709.0))
+        ym1 = np.where(big & ~np.isfinite(ym1), rescued, ym1)
+    defined = ym1 > 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        mu = np.log1p(ym1 + np.sqrt(ym1) * np.sqrt(ym1 + 2.0))
     if np.any(big):
-        use_log = big & (log_y > 40.0)
-        mu = np.where(use_log, math.log(2.0) + log_y, mu)
+        mu = np.where(big & (log_ym1 > 40.0), math.log(2.0) + log_ym1, mu)
+    mu = np.where(defined, mu, np.nan)
     with np.errstate(invalid="ignore", divide="ignore"):
         c = np.where(defined, lams / mu, np.nan)
-    return delta, y, mu, c
+    return delta, ym1 + 1.0, mu, c
 
 
 def ref_g_minus_G(lam, p):
-    _, b_term, _, delta, bracket = ref_terms(lam, p)
-    return 2.0 * p.alpha * p.beta / delta * (bracket - b_term)
+    return ref_terms(lam, p)[3]
 
 
 def ref_hyperbolic_over_sinh(s, u):
@@ -372,7 +434,7 @@ def ref_hyperbolic_over_sinh(s, u):
 
 
 def ref_profile_scales(lam, p):
-    s, _, _, delta, _ = ref_terms(lam, p)
+    s, _, delta, _ = ref_terms(lam, p)
     return float(s), math.sqrt(lam * p.d), p.beta / float(delta)
 
 
@@ -461,11 +523,9 @@ class TestBitIdentical:
         lams = self.lams(kind, p.d)
         with np.errstate(over="ignore", invalid="ignore"):
             got = _terms(lams, p)
-        want = ref_terms(lams, p)
-        for g, w in zip(got[:1] + got[2:], want[:1] + want[2:]):
+        for g, w in zip(got, ref_terms(lams, p)):
             assert_same_bits(g, w)
-        assert_same_bits(p.d * got[1], want[1])
-        with np.errstate(divide="ignore"):  # the reference's log1p(-1) at s = 0
+        with np.errstate(divide="ignore", invalid="ignore"):  # the reference's log(0) at s = 0
             want = ref_eval_arrays(lams, p)
         for g, w in zip(_eval_arrays(lams, p), want):
             assert_same_bits(g, w)
@@ -507,6 +567,82 @@ class TestBitIdentical:
             assert_same_bits(getattr(got.scan, name), getattr(want.scan, name))
         assert (exponential_ansatz_residual(got.lambda_star, got.mu_star, p)
                 == ref_residual(want.lambda_star, want.mu_star, p))
+
+
+@functools.lru_cache(maxsize=None)
+def mp_terms(lam, q):
+    """g - G and its term scale as floats, then y - 1 and its term scale as
+    mpfs, at a float lambda and rates q in 60 digits."""
+    with mpmath.workdps(60):
+        alpha, beta, d, f0 = (mpmath.mpf(v) for v in q)
+        g_minus_G, scale = mp_g_minus_G(lam, alpha, beta, d, f0)
+        ym1 = mp_y(lam, alpha, beta, d, f0, dps=60, to=mpmath.mpf) - 1
+        # y - 1 = K (g - G) with K = Delta sinh(s) / (2 alpha beta d s) > 0
+        return float(g_minus_G), float(scale), ym1, ym1 / g_minus_G * scale
+
+
+# (alpha, beta, d, f'(0)) for the threshold and speed oracle: D_POINTS, small
+# reaction rates, a point whose threshold (2.2e-16) an absolute zoom stop
+# rounded to 0, one where f'(0) nearly equals 2 beta (there c* moves about
+# 100 ulps per ulp of f'(0)), and seeded points of the log box [1e-6, 1e6]^4
+SPEED_POINTS = ([(1.0, 1.0, d, 1.0) for d in D_POINTS]
+                + [(1.0, 1.0, 1.0, f0) for f0 in (1e-6, 1e-9, 1e-12)]
+                + [(4.189132974784821e-06, 197905.90603727652, 1297.5617943799105,
+                    1.0603549495470298e-05),
+                   (0.1662868789513637, 29130.94301810513, 19423.82569117615,
+                    57810.66131739583)]
+                + [tuple(float(v) for v in 10.0 ** row)
+                   for row in np.random.default_rng(3).uniform(-6.0, 6.0, (6, 4))])
+
+
+class TestOracle:
+    """g - G, y - 1 and the solves against the closed forms as first written
+    (g - G as the difference of g and G) in 60 digits, c* in 80: g - G and
+    y - 1 within a few eps of the size of their terms, lambda0 within 4 eps
+    and c* within 1e-15 relative, each bound times the result's condition
+    number where that exceeds 1 (a rate off by one ulp moves the result
+    that many ulps)."""
+
+    @pytest.mark.parametrize("q", BIT_PARAMS)
+    @pytest.mark.parametrize("kind", list(S_GRIDS))
+    def test_g_minus_G(self, kind, q):
+        p = Parameters(*q[:3], nonlinearity=logistic(q[3]))
+        lams = S_GRIDS[kind] ** 2 * p.d
+        for lam, got in zip(lams, _g_minus_G(lams, p)):
+            want, scale, _, _ = mp_terms(float(lam), q)
+            assert abs(got - want) <= 4.0 * _EPS * scale
+
+    @pytest.mark.parametrize("q", BIT_PARAMS)
+    @pytest.mark.parametrize("kind", list(S_GRIDS))
+    def test_y_minus_1(self, kind, q):
+        p = Parameters(*q[:3], nonlinearity=logistic(q[3]))
+        lams = S_GRIDS[kind] ** 2 * p.d
+        _, y, mu, _ = _eval_arrays(lams, p)
+        for lam, y_i, mu_i in zip(lams, y, mu):
+            _, _, ym1, scale = mp_terms(float(lam), q)
+            # y - 1 to a few eps of its terms, plus the rounding of
+            # s = sqrt(lambda / d), which moves sinh(s) by s ulps per ulp
+            tol = 4.0 * _EPS * (scale + math.sqrt(lam / p.d) * abs(ym1))
+            if abs(ym1) < 1e300:  # y itself is held in float range
+                assert abs((y_i - 1.0) - ym1) <= tol + _EPS * abs(1 + ym1)
+            if ym1 > tol:
+                with mpmath.workdps(60):
+                    want = mpmath.acosh(1 + ym1)
+                    bound = tol / mpmath.sinh(want) + 4.0 * _EPS * want
+                    assert abs(mu_i - want) <= bound
+            elif ym1 < -tol:
+                assert math.isnan(mu_i)
+
+    @pytest.mark.parametrize("q", SPEED_POINTS)
+    def test_threshold_and_speed(self, q):
+        res = compute_c_star(Parameters(*q[:3], nonlinearity=logistic(q[3])))
+        want = mp_speed(*q)
+        with mpmath.workdps(80):
+            errors = [float(abs(got / w - 1)) for got, w in zip((res.lambda0, res.c_star), want)]
+        bounds = [4.0 * _EPS, 1e-15]
+        if errors[0] > bounds[0] or errors[1] > bounds[1]:
+            bounds = [b * max(1.0, k) for b, k in zip(bounds, mp_conditions(*q))]
+        assert errors[0] <= bounds[0] and errors[1] <= bounds[1]
 
 
 @pytest.mark.parametrize("d", D_POINTS)

@@ -4,7 +4,8 @@ Scaling every rate (alpha, beta, d, f'(0)) by k is the time change t -> k t,
 so it multiplies c* and c*_inf by exactly k; faster road diffusion can only
 speed the front up, and the fast-diffusion limit bounds c* from above.  Each
 property also runs at the 16 corners of the box.  The time rescaling of
-c*_inf also runs over the log box [1e-6, 1e6]^4.
+both speeds also runs over the log box [1e-6, 1e6]^4, with k from 1e-14 to
+1e14 at (1, 1, 1, 1).
 """
 
 import itertools
@@ -43,6 +44,17 @@ def at_corners(ks=(), **fixed):
 def test_c_star_time_rescaling(alpha, beta, d, f0, k):
     c = compute_c_star(params(alpha, beta, d, f0)).c_star
     c_k = compute_c_star(params(k * alpha, k * beta, k * d, k * f0)).c_star
+    assert abs(c_k - k * c) <= 1e-9 * k * c
+
+
+@box_settings
+@given(alpha=log_rate, beta=log_rate, d=log_rate, f0=log_rate, k=log_rate)
+@example(alpha=1.0, beta=1.0, d=1.0, f0=1.0, k=1e-14)
+@example(alpha=1.0, beta=1.0, d=1.0, f0=1.0, k=1e14)
+def test_c_star_time_rescaling_log_box(alpha, beta, d, f0, k):
+    c = compute_c_star(params(alpha, beta, d, f0)).c_star
+    c_k = compute_c_star(params(k * alpha, k * beta, k * d, k * f0)).c_star
+    assert c > 0.0 and c_k > 0.0
     assert abs(c_k - k * c) <= 1e-9 * k * c
 
 
