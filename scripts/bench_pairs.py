@@ -10,7 +10,9 @@ ones.  One more pair at ``seed0+pairs`` runs traced (``--trace 1``) for the
 per-layer numbers.  Each checkout runs its own ``perfbench/`` on its own
 ``src``.  Then ``cityroad verify``, and after it the Tier-1 suite (``python
 -m pytest -q --continue-on-collection-errors``), run ``CHECK_RUNS`` times in
-each checkout, timed, the sides alternating in the same way.
+each checkout, timed, the sides alternating in the same way.  Last, each
+checkout runs ``cityroad simulate``, ``asymptotic`` and ``speed`` at the
+default config, each into a fresh directory, for the output record.
 
 The record holds every run's last-line JSON and its round count (from
 perfbench's ``workload=... rounds=N`` line); per workload and metric the
@@ -28,19 +30,27 @@ machine: CPUs, CPU model, Python, numpy, BLAS, the
 ``OPENBLAS_NUM_THREADS`` and ``PYTHONDONTWRITEBYTECODE`` settings and the
 load average at start and end; and per side the checked-out commit and
 whether its tree differs from it (``git status --porcelain`` prints
-anything), both null outside a git checkout.  The exit status is 1 if any
+anything), both null outside a git checkout.  Under ``outputs``, per command
+the exit codes, per stdout line (the output directory written ``<out>``)
+``identical`` or both versions, and per CSV ``identical`` (byte for byte) or
+per column the largest absolute and relative difference, each with its data
+row; and per ``verify`` criterion, from the first timed run of each side,
+``identical apart from runtime=`` or both lines.  The exit status is 1 if any
 run reported ``correct: false`` or printed no result, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import filecmp
+import itertools
 import json
 import os
 import platform
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -51,6 +61,8 @@ CHECK_RUNS = 3  # timed runs of verify, and of Tier-1, per side
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 _COUNT = re.compile(r"(\d+) ([a-z]+)")
 _ROUNDS = re.compile(r"^workload=\S+ seed=\S+ rounds=(\d+)", re.MULTILINE)
+_RUNTIME = re.compile(r"runtime=\S+")
+OUTPUT_COMMANDS = ("simulate", "asymptotic", "speed")
 
 
 def last_json_line(stdout: str) -> dict | None:
@@ -223,7 +235,8 @@ def _time_verify(root: Path) -> dict:
     wall = time.perf_counter() - t0
     lines = proc.stdout.splitlines()
     return {"wall_s": round(wall, 3), "exit": proc.returncode,
-            "passed": sum(line.startswith("PASS") for line in lines), "criteria": len(lines)}
+            "passed": sum(line.startswith("PASS") for line in lines), "criteria": len(lines),
+            "lines": lines}
 
 
 def _time_tier1(root: Path) -> dict:
@@ -245,6 +258,78 @@ def time_checks(roots: dict, timer) -> dict:
             results[side].append(timer(roots[side]))
     return {side: {"wall_s": _stats([r["wall_s"] for r in results[side]]),
                    "runs": results[side]} for side in SIDES}
+
+
+def compare_lines(parent: list, change: list, same=lambda p, c: p == c,
+                  label: str = "identical") -> list:
+    """Per line ``label`` where ``same(parent_line, change_line)``, else both
+    lines, a missing one as None."""
+    return [label if p is not None and c is not None and same(p, c)
+            else {"parent": p, "change": c} for p, c in itertools.zip_longest(parent, change)]
+
+
+def _read_csv(path: Path):
+    with open(path) as f:
+        header = f.readline().strip().split(",")
+    return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def compare_csv(parent: Path, change: Path):
+    """``identical`` if the files are equal byte for byte, else per column the
+    largest absolute and relative (to the parent's value) difference and the
+    data row of each, NaN against NaN counting as equal; where a file is
+    missing, or the headers or row counts differ, both sides' of those."""
+    if not (parent.exists() and change.exists()):
+        return {"exists": {"parent": parent.exists(), "change": change.exists()}}
+    if filecmp.cmp(parent, change, shallow=False):
+        return "identical"
+    (p_head, p), (c_head, c) = _read_csv(parent), _read_csv(change)
+    if p_head != c_head or p.shape != c.shape:
+        return {"header": {"parent": p_head, "change": c_head},
+                "rows": {"parent": len(p), "change": len(c)}}
+    with np.errstate(invalid="ignore", divide="ignore"):
+        diff = np.where(np.isnan(p) & np.isnan(c), 0.0, np.abs(c - p))
+        diff = np.where(np.isnan(diff), np.inf, diff)  # NaN against a number
+        rel = np.where(diff == 0.0, 0.0, diff / np.abs(p))
+    return {name: {"max_abs": float(diff[:, k].max()), "abs_row": int(diff[:, k].argmax()),
+                   "max_rel": float(rel[:, k].max()), "rel_row": int(rel[:, k].argmax())}
+            for k, name in enumerate(p_head)}
+
+
+def compare_outputs(dirs: dict, runs: dict) -> dict:
+    """One command's record from each side's output directory (``dirs``) and
+    ``{"exit", "stdout"}`` (``runs``): exit codes, stdout lines and CSVs."""
+    names = sorted({f.name for side in SIDES for f in dirs[side].glob("*.csv")})
+    exits = {side: runs[side]["exit"] for side in SIDES}
+    return {"exit": "identical" if exits["parent"] == exits["change"] else exits,
+            "stdout": compare_lines(runs["parent"]["stdout"], runs["change"]["stdout"]),
+            "files": {name: compare_csv(dirs["parent"] / name, dirs["change"] / name)
+                      for name in names}}
+
+
+def _run_command(root: Path, command: str, outdir: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "cityroad.cli", command,
+                           "--set", f"output.dir={outdir}"],
+                          cwd=root, env=env, capture_output=True, text=True)
+    return {"exit": proc.returncode,
+            "stdout": [line.replace(str(outdir), "<out>") for line in proc.stdout.splitlines()]}
+
+
+def output_record(roots: dict, verify: dict) -> dict:
+    """Each OUTPUT_COMMANDS command compared across the sides, each side run
+    into a fresh directory, and the criteria of each side's first verify run."""
+    record = {}
+    for command in OUTPUT_COMMANDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            dirs = {side: Path(tmp) / side for side in SIDES}
+            runs = {side: _run_command(roots[side], command, dirs[side]) for side in SIDES}
+            record[command] = compare_outputs(dirs, runs)
+    record["verify"] = compare_lines(
+        *(verify[side]["runs"][0]["lines"] for side in SIDES),
+        same=lambda p, c: _RUNTIME.sub("", p) == _RUNTIME.sub("", c),
+        label="identical apart from runtime=")
+    return record
 
 
 def main(argv=None) -> int:
@@ -294,6 +379,7 @@ def main(argv=None) -> int:
         "summary": summarize(runs, end_to_end_bounds(roots["change"])),
         "verify": verify,
         "tier1": tier1,
+        "outputs": output_record(roots, verify),
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

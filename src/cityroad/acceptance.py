@@ -127,18 +127,20 @@ def criterion_3_steady_fixed_point():
 
 
 def criterion_4_dispersion_consistency():
-    """|y(lambda0)-1| <= 1e-10; ansatz residual <= 1e-8; scan endpoints exceed c*."""
+    """|y(lambda0)-1| <= 1e-10; ansatz residual <= 1e-8; the scan's smallest c
+    is interior and its ends exceed c* (an undefined c as +inf)."""
     t0 = time.perf_counter()
     p = _params()
     res = _c_star()
     y0 = dispersion_eval(res.lambda0, p).y
     resid = exponential_ansatz_residual(res.lambda_star, res.mu_star, p)
-    ends = (res.scan.c[0] > res.c_star) and (res.scan.c[-1] > res.c_star)
+    i = int(np.nanargmin(res.scan.c))
+    interior = 0 < i < len(res.scan) - 1 and not (res.scan.c[[0, -1]] <= res.c_star).any()
     elapsed = time.perf_counter() - t0
-    ok = abs(y0 - 1.0) <= 1e-10 and resid <= 1e-8 and ends and elapsed < 1.0
+    ok = abs(y0 - 1.0) <= 1e-10 and resid <= 1e-8 and interior and elapsed < 1.0
     return ok, (
         f"|y(l0)-1|={abs(y0-1.0):.2e} (<=1e-10) ansatz={resid:.2e} (<=1e-8) "
-        f"endpoints_exceed={ends} runtime={elapsed:.2f}s (<1s)"
+        f"argmin_interior={interior} runtime={elapsed:.2f}s (<1s)"
     )
 
 
@@ -167,7 +169,8 @@ def criterion_6_spreading_dichotomy():
 
 
 def criterion_7_asymptotic_speed():
-    """Limit system at (1,1,1), T=60: measured speed within 3% of c*inf.
+    """Limit system at (1,1,1), T=60: measured speed within 3% of c*inf;
+    tangency bracket g(mu_a) <= 0 < g(mu_b); |dPsi/dmu| / root' <= 1e-12.
 
     The fit uses the last quarter of the run; the front position carries a
     logarithmic-in-time drag, so late windows estimate the asymptotic slope
@@ -176,15 +179,12 @@ def criterion_7_asymptotic_speed():
     traj, elapsed = _asym_run()
     trace = estimate_speed(traj, threshold=0.5, window_fraction=(0.75, 1.0))
     rel = abs(trace.fitted_speed - spd.c_star_inf) / spd.c_star_inf
-    ok = (
-        rel <= 0.03
-        and spd.psi_residual <= 1e-8
-        and spd.dpsi_dmu_residual <= 1e-8
-        and elapsed < 10.0
-    )
+    g_a, g_b = spd.tangency_bracket
+    ok = rel <= 0.03 and g_a <= 0.0 < g_b and spd.dpsi_dmu_residual <= 1e-12 and elapsed < 10.0
     return ok, (
         f"c_measured={trace.fitted_speed:.4f} c*inf={spd.c_star_inf:.4f} rel={rel:.4f} (<=0.03) "
-        f"tangency=({spd.psi_residual:.1e},{spd.dpsi_dmu_residual:.1e}) runtime={elapsed:.1f}s (<10s)"
+        f"g(mu_a,mu_b)=({g_a:.1e},{g_b:.1e}) dpsi_rel={spd.dpsi_dmu_residual:.1e} (<=1e-12) "
+        f"runtime={elapsed:.1f}s (<10s)"
     )
 
 

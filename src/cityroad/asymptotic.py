@@ -13,11 +13,12 @@ whose exponential solutions satisfy Psi(c, mu) = 0 with
 
 The limit speed is the unique minimum over mu > 0 of the positive root
 c_plus(mu) = root(mu) / (2 mu), root = sqrt(DeltaInf) - (2 alpha + 2 beta -
-f'(0)), found by Newton's method from mu = 1 with the root formed without
-cancellation.  This module integrates the ODE lattice through the shared driver
-``lattice_sim.run_system``, with one classical RK4 step per road level
-(``kernels.advance_asym``) in place of the Crank-Nicolson edge update; its
-snapshots are ``LatticeState``s whose roads hold one sample, the level V_j.
+f'(0)), found by Newton's method inside a bracket of the tangency, with the
+root formed without cancellation.  This module integrates the ODE lattice
+through the shared driver ``lattice_sim.run_system``, with one classical RK4
+step per road level (``kernels.advance_asym``) in place of the Crank-Nicolson
+edge update; its snapshots are ``LatticeState``s whose roads hold one sample,
+the level V_j.
 It also runs the matched convergence experiment against the full simulator.
 """
 
@@ -49,10 +50,6 @@ __all__ = [
     "large_d_convergence_experiment",
 ]
 
-_NEWTON_ITERATIONS = 50
-_EPS = float(np.finfo(float).eps)
-
-
 class AsymptoticDispersion(NamedTuple):
     psi: float
     delta_inf: float
@@ -63,8 +60,8 @@ class AsymptoticDispersion(NamedTuple):
 class AsymptoticSpeed:
     mu_star: float
     c_star_inf: float
-    psi_residual: float
-    dpsi_dmu_residual: float
+    tangency_bracket: tuple[float, float]  # g at the ends of the final mu bracket
+    dpsi_dmu_residual: float  # |dPsi/dmu| relative to its term root'(mu*)
 
 
 def _delta_inf(cosh_mu: float, p: Parameters) -> float:
@@ -96,45 +93,54 @@ def asymptotic_dispersion_eval(mu: float, c: float, p: Parameters) -> Asymptotic
     return AsymptoticDispersion(psi, delta, c_plus)
 
 
+def _tangency(mu: float, p: Parameters):
+    """g(mu) = mu root' - root, g'(mu) = mu root'' and root' = 4ab sinh / sqrt(D),
+    with D = DeltaInf and root'' = 4ab / sqrt(D) (cosh - 4ab sinh^2 / D)."""
+    ab4 = 4.0 * p.alpha * p.beta
+    ch, sh = math.cosh(mu), math.sinh(mu)
+    sq = math.sqrt(_delta_inf(ch, p))
+    slope = ab4 * sh / sq
+    return mu * slope - _root(mu, sq, p), mu * ab4 / sq * (ch - ab4 * sh * sh / (sq * sq)), slope
+
+
 def compute_c_star_inf(p: Parameters) -> AsymptoticSpeed:
-    """Minimize c_plus over mu > 0 by Newton's method on the tangency
-    condition from mu = 1, each step clamped to [mu/2, 2 mu], and verify
-    Psi = 0 and dPsi/dmu = 0 at the optimum, each to a bound relative to the
-    size of its terms.  One start serves every rate, as the minimum is
-    unique: c_plus' = g / (2 mu^2), and g(mu) = mu root' - root rises
-    (g' = mu root'' > 0) from g(0) = -root(0) < 0."""
+    """Minimize c_plus over mu > 0 at the root of g(mu) = mu root' - root:
+    c_plus' = g / (2 mu^2), and g rises (g' = mu root'' > 0) from g(0) < 0.
+    Bracketed by halving or doubling from mu = 1, then closed to 4 ulps (a
+    subnormal bracket too) by Newton steps inside the open bracket, bisecting
+    where one leaves it.  The bracket g(mu_a) <= 0 < g(mu_b) is the certificate;
+    dPsi/dmu = root' - 2 c_inf is checked relative to root' at the end with the
+    smaller |g|."""
     if p.fprime0 <= 0:
         raise ValueError("limit speed needs f'(0) > 0")
-    ab4 = 4.0 * p.alpha * p.beta
-    b_coef = 2.0 * p.alpha + 2.0 * p.beta - p.fprime0
-    # with D = DeltaInf, root' = 4ab sinh / sqrt(D), root'' = 4ab / sqrt(D) (cosh - 4ab sinh^2 / D)
-    mu_star = 1.0
-    for _ in range(_NEWTON_ITERATIONS):
-        ch, sh = math.cosh(mu_star), math.sinh(mu_star)
-        sq = math.sqrt(_delta_inf(ch, p))
-        g = mu_star * ab4 * sh / sq - _root(mu_star, sq, p)
-        g_prime = mu_star * ab4 / sq * (ch - ab4 * sh * sh / (sq * sq))
-        mu_star, previous = min(max(mu_star - g / g_prime, 0.5 * mu_star), 2.0 * mu_star), mu_star
-        if abs(mu_star - previous) <= 4.0 * _EPS * previous:
-            break
-    else:  # as when mu* <= 1.4e-14: the halvings from mu = 1 leave too few steps
-        raise RuntimeError(f"limit-speed Newton iteration unconverged after "
-                           f"{_NEWTON_ITERATIONS} steps, at mu = {mu_star:.3e}")
-    at_star = asymptotic_dispersion_eval(mu_star, 0.0, p)
-    c_inf = at_star.c_plus
-    sq = math.sqrt(at_star.delta_inf)
-    psi_res = abs(asymptotic_dispersion_eval(mu_star, c_inf, p).psi)
-    dpsi_res = abs(ab4 * math.sinh(mu_star) / sq - 2.0 * c_inf)
-    # Psi and dPsi/dmu are differences of terms of the sizes below, so
-    # roundoff in them grows with the rates: the bounds are relative.
-    psi_bound = 1e-10 * max(1.0, abs(b_coef), sq)
-    dpsi_bound = 1e-8 * max(1.0, 2.0 * c_inf)
-    if psi_res > psi_bound:
-        raise RuntimeError(f"tangency residual |Psi| = {psi_res:.3e} exceeds {psi_bound:.3e}")
-    if dpsi_res > dpsi_bound:
-        raise RuntimeError(f"tangency residual |dPsi/dmu| = {dpsi_res:.3e} "
-                           f"exceeds {dpsi_bound:.3e}")
-    return AsymptoticSpeed(float(mu_star), float(c_inf), psi_res, dpsi_res)
+    mu = 1.0
+    g, g_prime, _ = _tangency(mu, p)
+    positive = g > 0.0
+    while (g > 0.0) == positive:  # halve while g > 0, double while g <= 0
+        last = (mu, g)
+        mu *= 0.5 if positive else 2.0
+        g, g_prime, _ = _tangency(mu, p)
+    (a, g_a), (b, g_b) = sorted((last, (mu, g)))
+    while b - a > 4.0 * math.ulp(b):
+        newton = mu - g / g_prime
+        if abs(newton - mu) < 2.0 * math.ulp(mu):  # too short to cross the root: reach over it
+            newton = mu + (2.0 if g <= 0.0 else -2.0) * math.ulp(mu)
+        mu = newton if a < newton < b else 0.5 * (a + b)
+        g, g_prime, _ = _tangency(mu, p)
+        if g > 0.0:
+            b, g_b = mu, g
+        else:
+            a, g_a = mu, g
+    if not g_a <= 0.0 < g_b:
+        raise RuntimeError(f"tangency bracket lost its sign change: g = ({g_a:.3e}, {g_b:.3e}) "
+                           f"at mu = ({a:.3e}, {b:.3e})")
+    mu_star = a if abs(g_a) <= abs(g_b) else b
+    c_inf = asymptotic_dispersion_eval(mu_star, 0.0, p).c_plus
+    slope = _tangency(mu_star, p)[2]
+    dpsi_res = abs(slope - 2.0 * c_inf) / slope
+    if not dpsi_res <= 1e-8:
+        raise RuntimeError(f"tangency residual |dPsi/dmu| / root' = {dpsi_res:.3e} exceeds 1e-8")
+    return AsymptoticSpeed(mu_star, c_inf, (g_a, g_b), dpsi_res)
 
 
 def simulate_asymptotic(data: InitialData, cfg: SimulationConfig, p: Parameters,

@@ -21,11 +21,11 @@ inherits its accuracy and its sign.  The decay rate is
 mu(lambda) = arccosh(y) = log1p((y - 1) + sqrt((y - 1)(y + 1))) once y > 1,
 which happens exactly above the unique threshold lambda0 where g - G changes
 sign, and the spreading speed is the minimum of c(lambda) = lambda / mu(lambda)
-over (lambda0, inf).  A global geometric scan locates the minimum before local
-refinement because uniqueness of the minimizer is only conjectured; every
-grid-local minimum is reported.  Threshold and minimizer are refined by
-zooming a bracket onto the sign change of g - G or the smallest c on a
-linspace, each to a width relative to the bracket's end.
+over (lambda0, inf).  The threshold is zoomed onto the sign change of g - G,
+and the minimum onto the smallest c over the window (lambda0, 4 lambda0],
+whose first zoom round, a scan, reports every grid-local minimum because
+uniqueness of the minimizer is only conjectured.  Where mu^2 is concave, the
+minimizer's lambda mu^2' = 2 mu^2 puts it below 2 lambda0.
 
 A solve is a few dozen evaluations on a few hundred points, so it runs at
 numpy's per-call cost, not at its arithmetic.  Each evaluation therefore
@@ -61,12 +61,13 @@ __all__ = [
 _TAYLOR_SWITCH = 1e-4
 _LOG_SWITCH = 300.0
 _HUGE_LOG = 709.0  # ~ log of float64 max
-# The c* scan: points of the geometric lambda grid and its upper end over lambda0.
-_GRID_POINTS = 2000
-_GRID_SPAN = 1e4
-# Points per round of the bracket zoom that refines lambda0 and lambda*.
-_ZOOM_POINTS = 256
 _EPS = float(np.finfo(float).eps)
+# The c* window lambda = b (1 + e^u) over the threshold bracket's upper end b,
+# its ends in u, and the points of its first zoom round, the scan.
+_U_WINDOW = (math.log(4.0 * _EPS), math.log(3.0))
+_GRID_POINTS = 2000
+# Points per later round of the bracket zooms that refine lambda0 and lambda*.
+_ZOOM_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -182,12 +183,12 @@ def _zoom_sign_change(fun, a: float, b: float):
     return float(x[i - 1]), float(x[i]), float(v[i - 1]), float(v[i])
 
 
-def find_lambda0(p: Parameters) -> float:
-    """Unique lambda where y = 1, i.e. where the increasing g - G changes
-    sign.  Bracketed by doubling from [0, 1], then zoomed on g - G until the
-    bracket [a, b] is 4 eps b wide.  The bracket is the certificate:
-    g - G(a) <= 0 < g - G(b), else the threshold post-check fails.  Returns
-    the end with the smaller |g - G|."""
+def _threshold(p: Parameters):
+    """(lambda0, b): the threshold and the upper end of its bracket [a, b].
+    Bracketed by doubling from [0, 1], then zoomed on g - G until the bracket
+    is 4 eps b wide.  The bracket is the certificate: g - G(a) <= 0 < g - G(b),
+    else the threshold post-check fails.  lambda0 is the end with the smaller
+    |g - G|."""
     if p.fprime0 <= 0:
         raise ValueError("threshold needs f'(0) > 0")
     a = 0.0
@@ -201,57 +202,48 @@ def find_lambda0(p: Parameters) -> float:
     if not g_a <= 0.0 < g_b:
         raise RuntimeError(f"threshold post-check failed: g - G = ({g_a:.3e}, {g_b:.3e}) "
                            f"at the bracket ends")
-    return a if abs(g_a) <= abs(g_b) else b
+    return (a if abs(g_a) <= abs(g_b) else b), b
+
+
+def find_lambda0(p: Parameters) -> float:
+    """Unique lambda where y = 1, i.e. where the increasing g - G changes
+    sign; see _threshold."""
+    return _threshold(p)[0]
 
 
 def compute_c_star(p: Parameters) -> DispersionResult:
     """Minimal speed c* = min over lambda > lambda0 of lambda / mu(lambda).
 
-    A geometric grid over (lambda0 (1 + 1e-6), lambda0 * _GRID_SPAN) locates the
-    global minimum, the bracket zoom refines it to relative width 1e-10, and
-    the scan endpoints are checked to exceed the minimum.  A grid minimum on
-    the first point is zoomed between the first two points (at small d the
-    minimizer lies that close to lambda0); one on the last point triggers one
-    automatic 10x extension of the upper bound, and a persistent one is an
-    error.
+    One zoom in u = log(lambda / b - 1), b the upper end of the threshold
+    bracket, over the window lambda in [b (1 + 4 eps), 4 b]: the first round
+    scans it on _GRID_POINTS points and must find its smallest c strictly
+    inside, else the minimum is rejected by name; each round keeps the
+    neighbours of its smallest c (an undefined c, as roundoff in g - G can
+    leave just above b, counts as +inf) until the bracket is 1e-9 wide in u
+    or 4 eps wide in lambda.
     """
-    lam0 = find_lambda0(p)
-    lo = lam0 * (1.0 + 1e-6)
-    hi = lam0 * _GRID_SPAN
-    for _ in range(2):
-        lams = np.geomspace(lo, hi, _GRID_POINTS)
-        delta, y, mu, c = _eval_arrays(lams, p)
-        if not (c > 0.0).all():
-            raise RuntimeError("speed curve undefined inside the scan range")
-        i_min = int(c.argmin())
-        if i_min < len(lams) - 1:
+    lam0, b = _threshold(p)
+    u = np.linspace(*_U_WINDOW, _GRID_POINTS)
+    scan = None
+    while True:
+        lams = b * (1.0 + np.exp(u))
+        values = _eval_arrays(lams, p)
+        i = int(np.where(values[3] > 0.0, values[3], np.inf).argmin())
+        if scan is None:
+            if not 0 < i < len(u) - 1:
+                raise RuntimeError(f"speed minimum on the {'lower' if i == 0 else 'upper'} "
+                                   f"end of the window [b (1 + 4 eps), 4 b]")
+            scan = DispersionScan(lams, *values)
+        lo, hi = max(i - 1, 0), min(i + 1, len(u) - 1)
+        if u[hi] - u[lo] <= 1e-9 or lams[hi] - lams[lo] <= 4.0 * _EPS * lams[hi]:
             break
-        hi *= 10.0
-    else:
-        raise RuntimeError("speed minimum stuck at the scan endpoint")
-    a, b = lams[max(i_min - 1, 0)], lams[i_min + 1]
-    while b - a > 1e-10 * b:
-        x = np.linspace(a, b, _ZOOM_POINTS)
-        i = int(_eval_arrays(x, p)[3].argmin())
-        a, b = x[max(i - 1, 0)], x[min(i + 1, len(x) - 1)]
-    lam_star = 0.5 * (a + b)
-    point = dispersion_eval(lam_star, p)
-    if point.mu is None:
+        u = np.linspace(u[lo], u[hi], _ZOOM_POINTS)
+    mu, c = values[2][i], values[3][i]
+    if not c > 0.0:
         raise RuntimeError("refined minimizer fell below the threshold")
-    c_star = point.c
-    if not (c[0] > c_star and c[-1] > c_star):
-        raise RuntimeError("scan endpoints do not exceed the minimum speed")
-    interior = (c[1:-1] < c[:-2]) & (c[1:-1] < c[2:])
-    local_minima = tuple(float(v) for v in lams[1:-1][interior])
-    scan = DispersionScan(lams, delta, y, mu, c)
-    result = DispersionResult(
-        lambda0=lam0,
-        lambda_star=float(lam_star),
-        mu_star=float(point.mu),
-        c_star=float(c_star),
-        scan=scan,
-        local_minima=local_minima,
-    )
+    interior = (scan.c[1:-1] < scan.c[:-2]) & (scan.c[1:-1] < scan.c[2:])
+    result = DispersionResult(lam0, float(lams[i]), float(mu), float(c), scan,
+                              tuple(float(v) for v in scan.lam[1:-1][interior]))
     res = exponential_ansatz_residual(result.lambda_star, result.mu_star, p)
     if not res <= 1e-8:
         raise RuntimeError(f"exponential ansatz residual {res:.3e} exceeds 1e-8")

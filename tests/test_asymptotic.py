@@ -74,8 +74,9 @@ class TestCStarInf:
         assert hi > 10.0 * c_inf.c_star_inf
 
     def test_tangency(self, c_inf):
-        assert c_inf.psi_residual <= 1e-10
-        assert c_inf.dpsi_dmu_residual <= 1e-8
+        g_a, g_b = c_inf.tangency_bracket
+        assert g_a <= 0.0 < g_b
+        assert c_inf.dpsi_dmu_residual <= 1e-12
 
     def test_sign_structure(self, p, c_inf):
         mus = np.linspace(1e-3, 12.0, 4001)
@@ -90,18 +91,19 @@ class TestCStarInf:
         mu1, mu2 = mus[changes[0]], mus[changes[1] + 1]
         assert mu1 < c_inf.mu_star < mu2
 
-    def test_widened_scan(self):
-        # mu* = 4.47e-5, more than four decades below Newton's start at mu = 1
+    def test_small_mu_star_bracketed(self):
+        # mu* = 4.47e-5, more than four decades below the bracket's start at mu = 1
         res = compute_c_star_inf(Parameters(1, 1, 1, nonlinearity=logistic(1e-9)))
+        g_a, g_b = res.tangency_bracket
         assert res.mu_star < 1e-4
-        assert res.psi_residual <= 1e-10
-        assert res.dpsi_dmu_residual <= 1e-8
+        assert g_a <= 0.0 < g_b
+        assert res.dpsi_dmu_residual <= 1e-12
 
     def test_large_rate_meets_relative_post_checks(self):
-        # |dPsi/dmu| = 1.5e-8 here, roundoff on terms of size 2 c*_inf = 6e6:
+        # |dPsi/dmu| is roundoff on terms of size root' = 2 c*_inf = 6e6 here:
         # an absolute 1e-8 bound rejected it
         res = compute_c_star_inf(Parameters(1, 1, 1, nonlinearity=logistic(1e8)))
-        assert res.dpsi_dmu_residual <= 1e-8 * 2.0 * res.c_star_inf
+        assert res.dpsi_dmu_residual <= 1e-12
 
     def test_time_rescaling_at_large_rate(self):
         # (1, 1, 1, 1e6) is the time-rescaled twin of (1e-6, 1e-6, 1e-6, 1)
@@ -109,11 +111,12 @@ class TestCStarInf:
         small = compute_c_star_inf(Parameters(1e-6, 1e-6, 1e-6, nonlinearity=logistic(1.0)))
         assert big.c_star_inf == pytest.approx(1e6 * small.c_star_inf, rel=1e-9)
 
-    def test_unreachable_minimum_rejected_by_name(self):
-        # mu* = 1.4e-15 takes 49 halvings from mu = 1, leaving too few steps;
-        # the last iterate passes both post-checks with c*_inf 0.55% high
-        with pytest.raises(RuntimeError, match="unconverged after 50 steps"):
-            compute_c_star_inf(Parameters(1, 1, 1, nonlinearity=logistic(1e-30)))
+    def test_tiny_mu_star_meets_oracle(self):
+        # mu* = 1.4e-15 takes 49 halvings from mu = 1 to bracket; a Newton
+        # iteration capped at 50 steps stopped there with c*_inf 0.55% high
+        q = (1.0, 1.0, 1.0, 1e-30)
+        res = compute_c_star_inf(Parameters(*q[:3], nonlinearity=logistic(q[3])))
+        assert abs(res.c_star_inf / oracle_c_star_inf(q, res.mu_star) - 1) <= 1e-15
 
     def test_needs_reaction(self):
         with pytest.raises(ValueError):

@@ -176,7 +176,8 @@ class TestTimeChecks:
         assert verify["parent"]["wall_s"] == {"median": 4.0, "q1": 2.5, "q3": 4.5}
         assert verify["change"]["wall_s"] == {"median": 3.0, "q1": 2.5, "q3": 4.5}
         assert verify["parent"]["runs"][0] == {"wall_s": 1.0, "exit": 0, "passed": 1,
-                                               "criteria": 2}
+                                               "criteria": 2,
+                                               "lines": ["PASS criterion 1", "FAIL criterion 2"]}
         tier1 = bench_pairs.time_checks(self.ROOTS, bench_pairs._time_tier1)
         assert tier1["change"]["runs"][-1] == {"wall_s": 12.0, "exit": 0, "passed": 2}
 
@@ -214,3 +215,64 @@ class TestCheckoutFacts:
     def test_outside_a_git_checkout(self, monkeypatch, kw):
         self.stub(monkeypatch, **kw)
         assert bench_pairs.checkout_facts(Path("/tmp/x")) == {"commit": None, "dirty": None}
+
+
+class TestOutputs:
+    """The output record from canned output directories and stdout lines."""
+
+    @staticmethod
+    def write(root, side, name, text):
+        (root / side).mkdir(exist_ok=True)
+        (root / side / name).write_text(text)
+        return root / side / name
+
+    def test_lines_identical_differing_and_missing(self):
+        assert bench_pairs.compare_lines(["a=1", "b=2", "wrote <out>/x.csv"],
+                                         ["a=1", "b=3"]) == [
+            "identical",
+            {"parent": "b=2", "change": "b=3"},
+            {"parent": "wrote <out>/x.csv", "change": None}]
+
+    def test_verify_criteria_apart_from_runtime(self, tmp_path, monkeypatch):
+        verify = {"parent": {"runs": [{"lines": ["PASS criterion 1: x=1 runtime=0.01s (<1s)",
+                                                 "PASS criterion 2: y=2"]}]},
+                  "change": {"runs": [{"lines": ["PASS criterion 1: x=1 runtime=0.03s (<1s)",
+                                                 "FAIL criterion 2: y=3"]}]}}
+        monkeypatch.setattr(bench_pairs, "OUTPUT_COMMANDS", ())
+        assert bench_pairs.output_record({}, verify)["verify"] == [
+            "identical apart from runtime=",
+            {"parent": "PASS criterion 2: y=2", "change": "FAIL criterion 2: y=3"}]
+
+    def test_identical_csv(self, tmp_path):
+        text = "lambda,c\n1.5,nan\n2,0.25\n"
+        assert bench_pairs.compare_csv(self.write(tmp_path, "parent", "s.csv", text),
+                                       self.write(tmp_path, "change", "s.csv", text)) == "identical"
+
+    def test_largest_differences_per_column_with_rows(self, tmp_path):
+        parent = self.write(tmp_path, "parent", "s.csv", "lambda,c\n1,nan\n2,0.5\n4,8\n")
+        change = self.write(tmp_path, "change", "s.csv", "lambda,c\n1,nan\n2.0,0.75\n4,7\n")
+        assert bench_pairs.compare_csv(parent, change) == {
+            "lambda": {"max_abs": 0.0, "abs_row": 0, "max_rel": 0.0, "rel_row": 0},
+            "c": {"max_abs": 1.0, "abs_row": 2, "max_rel": 0.5, "rel_row": 1}}
+
+    def test_shape_header_and_missing_file(self, tmp_path):
+        parent = self.write(tmp_path, "parent", "s.csv", "lambda,c\n1,2\n")
+        change = self.write(tmp_path, "change", "s.csv", "lambda,mu\n1,2\n3,4\n")
+        assert bench_pairs.compare_csv(parent, change) == {
+            "header": {"parent": ["lambda", "c"], "change": ["lambda", "mu"]},
+            "rows": {"parent": 1, "change": 2}}
+        assert bench_pairs.compare_csv(parent, tmp_path / "change" / "gone.csv") == {
+            "exists": {"parent": True, "change": False}}
+
+    def test_one_command(self, tmp_path):
+        self.write(tmp_path, "parent", "a.csv", "t,m\n0,1\n")
+        self.write(tmp_path, "change", "a.csv", "t,m\n0,1\n")
+        self.write(tmp_path, "change", "b.csv", "t\n0\n")
+        runs = {"parent": {"exit": 0, "stdout": ["c_star=0.6", "wrote <out>/a.csv"]},
+                "change": {"exit": 4, "stdout": ["c_star=0.7", "wrote <out>/a.csv"]}}
+        dirs = {side: tmp_path / side for side in ("parent", "change")}
+        assert bench_pairs.compare_outputs(dirs, runs) == {
+            "exit": {"parent": 0, "change": 4},
+            "stdout": [{"parent": "c_star=0.6", "change": "c_star=0.7"}, "identical"],
+            "files": {"a.csv": "identical",
+                      "b.csv": {"exists": {"parent": False, "change": True}}}}

@@ -102,6 +102,20 @@ class TestCommands:
         assert scan[0] == "lambda,delta,y,mu,c"
         assert len(scan) == 2001
 
+    @pytest.mark.parametrize("rates,field,value", [
+        # mu* = 1.7e-15: 49 halvings from mu = 1 bracket the limit tangency
+        ({"fprime0": "1e-30"}, "c_star_inf", "7.0710678118654753e-16"),
+        # lambda* within 6e-9 lambda0 of the threshold; the 80-digit minimum agrees
+        ({"alpha": "950273520.1262786", "beta": "7819.045135814194",
+          "d": "1.4413836100614537e-09", "fprime0": "191330277.32112813"},
+         "c_star", "0.52514789310121357"),
+    ])
+    def test_speed_at_extreme_rates(self, rates, field, value, tmp_path, capsys):
+        sets = [arg for k, v in rates.items() for arg in ("--set", f"parameters.{k}={v}")]
+        assert main(["speed", *sets, *outdir_arg(tmp_path / "out")]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert dict(kv.split("=") for kv in line.split())[field] == value
+
     def test_simulate_emits_trajectory(self, tmp_path):
         proc = run_cli(
             ["simulate", "--set", "simulation.T=4", "--set", "simulation.dt=0.002",

@@ -114,6 +114,18 @@ def mp_conditions(alpha, beta, d, f0, dps=80):
         return tuple(float(t) for t in totals)
 
 
+def assert_meets_speed_oracle(res, q):
+    """lambda0 within 4 eps and c* within 1e-15 of mp_speed at rates q, each
+    bound times the result's condition number where that exceeds 1."""
+    want = mp_speed(*q)
+    with mpmath.workdps(80):
+        errors = [float(abs(got / w - 1)) for got, w in zip((res.lambda0, res.c_star), want)]
+    bounds = [4.0 * _EPS, 1e-15]
+    if errors[0] > bounds[0] or errors[1] > bounds[1]:
+        bounds = [b * max(1.0, k) for b, k in zip(bounds, mp_conditions(*q))]
+    assert errors[0] <= bounds[0] and errors[1] <= bounds[1]
+
+
 class TestEval:
     def test_small_lambda_limit(self):
         # y(0+) = 1 - f'(0)/beta (alpha/(2d) + 1) = -0.5 at unit parameters
@@ -237,24 +249,27 @@ class TestCStar:
             assert mp_c(res.lambda_star * factor) > res.c_star
 
     @pytest.mark.parametrize("d", [1e-8, 1e-9, 1e-10, 1e-12])
-    def test_minimum_between_first_two_scan_points(self, d):
-        # at d <= 1e-8 the grid minimum sits on the scan's first point and
-        # the minimizer between it and the second; 50-digit c(lambda) as above
+    def test_minimizer_near_threshold_meets_oracle(self, d):
+        # at d <= 1e-8 the minimizer lies within 2e-4 lambda0 of the threshold
+        # (2e-6 lambda0 at d = 1e-12); c* against the 80-digit minimum
         p = params(d=d)
         res = compute_c_star(p)
-        assert res.scan.lam[0] < res.lambda_star < res.scan.lam[1]
-
-        def c(lam):
-            y = mp_y(lam, 1.0, 1.0, d, 1.0, dps=mpmath.mp.dps, to=mpmath.mpf)
-            return lam / mpmath.acosh(y)
-
-        with mpmath.workdps(50):
-            # c is steep near lambda0: a bracketing solver on that scan interval
-            bracket = (mpmath.mpf(res.scan.lam[0]), mpmath.mpf(res.scan.lam[1]))
-            lam_mp = mpmath.findroot(lambda lam: mpmath.diff(c, lam), bracket,
-                                     solver="anderson")
-            assert res.c_star == pytest.approx(float(c(lam_mp)), rel=1e-13)
+        assert_meets_speed_oracle(res, (1.0, 1.0, d, 1.0))
         assert exponential_ansatz_residual(res.lambda_star, res.mu_star, p) <= 1e-15
+
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    def test_minimum_on_window_end_rejected_by_name(self, end, monkeypatch):
+        # the scan's smallest c on a window end certifies no minimum inside it
+        real = _eval_arrays
+
+        def c_falls_to_end(lams, p):
+            delta, y, mu, _ = real(lams, p)
+            c = np.arange(1.0, len(lams) + 1)
+            return delta, y, mu, c if end == "lower" else c[::-1]
+
+        monkeypatch.setattr(dispersion, "_eval_arrays", c_falls_to_end)
+        with pytest.raises(RuntimeError, match=f"speed minimum on the {end} end of the window"):
+            compute_c_star(params())
 
     def test_unique_interior_minimum(self):
         res = compute_c_star(params())
@@ -584,13 +599,21 @@ def mp_terms(lam, q):
 # (alpha, beta, d, f'(0)) for the threshold and speed oracle: D_POINTS, small
 # reaction rates, a point whose threshold (2.2e-16) an absolute zoom stop
 # rounded to 0, one where f'(0) nearly equals 2 beta (there c* moves about
-# 100 ulps per ulp of f'(0)), and seeded points of the log box [1e-6, 1e6]^4
+# 100 ulps per ulp of f'(0)), three points of [1e-12, 1e12]^4 whose minimizer
+# lies within 1e-6 lambda0 of the threshold, and seeded points of the log box
+# [1e-6, 1e6]^4
 SPEED_POINTS = ([(1.0, 1.0, d, 1.0) for d in D_POINTS]
                 + [(1.0, 1.0, 1.0, f0) for f0 in (1e-6, 1e-9, 1e-12)]
                 + [(4.189132974784821e-06, 197905.90603727652, 1297.5617943799105,
                     1.0603549495470298e-05),
                    (0.1662868789513637, 29130.94301810513, 19423.82569117615,
-                    57810.66131739583)]
+                    57810.66131739583),
+                   (950273520.1262786, 7819.045135814194, 1.4413836100614537e-09,
+                    191330277.32112813),
+                   (0.0072933452370839424, 5.594240130671139e-07, 8.1917158741236e-12,
+                    1069673888.8102449),
+                   (509825598.8633302, 13522154.953425856, 1.2569285628220335e-09,
+                    2538748.978775281)]
                 + [tuple(float(v) for v in 10.0 ** row)
                    for row in np.random.default_rng(3).uniform(-6.0, 6.0, (6, 4))])
 
@@ -635,14 +658,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("q", SPEED_POINTS)
     def test_threshold_and_speed(self, q):
-        res = compute_c_star(Parameters(*q[:3], nonlinearity=logistic(q[3])))
-        want = mp_speed(*q)
-        with mpmath.workdps(80):
-            errors = [float(abs(got / w - 1)) for got, w in zip((res.lambda0, res.c_star), want)]
-        bounds = [4.0 * _EPS, 1e-15]
-        if errors[0] > bounds[0] or errors[1] > bounds[1]:
-            bounds = [b * max(1.0, k) for b, k in zip(bounds, mp_conditions(*q))]
-        assert errors[0] <= bounds[0] and errors[1] <= bounds[1]
+        assert_meets_speed_oracle(compute_c_star(Parameters(*q[:3], nonlinearity=logistic(q[3]))), q)
 
 
 @pytest.mark.parametrize("d", D_POINTS)

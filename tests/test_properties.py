@@ -5,11 +5,13 @@ so it multiplies c* and c*_inf by exactly k; faster road diffusion can only
 speed the front up, and the fast-diffusion limit bounds c* from above.  Each
 property also runs at the 16 corners of the box.  The time rescaling of
 both speeds also runs over the log box [1e-6, 1e6]^4, with k from 1e-14 to
-1e14 at (1, 1, 1, 1).
+1e14 at (1, 1, 1, 1), and both solvers run at seeded points of the wider
+boxes [1e-12, 1e12]^4 and [1e-15, 1e15]^4.
 """
 
 import itertools
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from cityroad.asymptotic import compute_c_star_inf
@@ -18,6 +20,7 @@ from cityroad.model import Parameters, logistic
 
 rate = st.floats(0.1, 10.0)
 log_rate = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)  # log-uniform on [1e-6, 1e6]
+EPS = float(np.finfo(float).eps)
 box_settings = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
 
@@ -98,10 +101,26 @@ def test_c_star_below_c_star_inf(alpha, beta, d, f0):
     assert compute_c_star(p).c_star < compute_c_star_inf(p).c_star_inf
 
 
+def test_speeds_over_wide_log_boxes():
+    # 400 seeded points each of [1e-12, 1e12]^4 and [1e-15, 1e15]^4: both
+    # solvers return, the minimizer sits within the c* window's first half
+    # (lambda* <= 2 lambda0, up to a flat minimum's sqrt(eps) placement), and
+    # c* < c*_inf up to a roundoff tie where d makes c*(d) meet c*_inf
+    for decades in (12, 15):
+        for q in 10.0 ** np.random.default_rng(7).uniform(-decades, decades, (400, 4)):
+            p = params(*q)
+            res = compute_c_star(p)
+            assert res.lambda_star <= 2.0 * res.lambda0 * (1.0 + 1e-7), q
+            assert res.c_star <= compute_c_star_inf(p).c_star_inf * (1.0 + 4.0 * EPS), q
+
+
 def test_c_star_inf_tangency_residual():
     # the grid {0.1, 1, 10}^4, then f'(0) = 2, alpha = 1e6 and f'(0) = 1e4, where
-    # a mu* placed only to about sqrt(eps) misses even the solver's 1e-8 bound
+    # a mu* placed only to about sqrt(eps) misses even the solver's 1e-8 bound:
+    # every tangency bracket changes sign, and |dPsi/dmu| / root' stays at roundoff
     points = [*itertools.product((0.1, 1.0, 10.0), repeat=4),
               (1.0, 1.0, 1.0, 2.0), (1e6, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1e4)]
-    residuals = {p: compute_c_star_inf(params(*p)).dpsi_dmu_residual for p in points}
-    assert {p: r for p, r in residuals.items() if r > 1e-12} == {}
+    speeds = {p: compute_c_star_inf(params(*p)) for p in points}
+    assert {p: s.tangency_bracket for p, s in speeds.items()
+            if not s.tangency_bracket[0] <= 0.0 < s.tangency_bracket[1]} == {}
+    assert {p: s.dpsi_dmu_residual for p, s in speeds.items() if s.dpsi_dmu_residual > 1e-12} == {}
