@@ -12,31 +12,34 @@ per-layer numbers.  Each checkout runs its own ``perfbench/`` on its own
 -m pytest -q --continue-on-collection-errors``), run ``CHECK_RUNS`` times in
 each checkout, timed, the sides alternating in the same way.  Last, each
 checkout runs ``cityroad simulate``, ``asymptotic`` and ``speed`` at the
-default config, each into a fresh directory, for the output record.
+default config, and ``speed`` at ``d = 1e-7`` (a steep threshold, where
+solver changes move bits that the default config leaves alone), each into a
+fresh directory, for the output record.
 
 The record holds every run's last-line JSON and its round count (from
 perfbench's ``workload=... rounds=N`` line); per workload and metric the
 median and quartiles (numpy linear interpolation) of each side and
 ``change_lower``, the pairs in which the change's value is lower; for each
 end-to-end metric that the change checkout's ``BENCHMARK.json`` declares,
-``relative_change`` (change median / parent median - 1) and a ``verdict``
-from that file's ``bound`` and ``better``: ``worse`` when the change is
-worse by more than the bound, else ``unresolved`` when the parent's
-interquartile range exceeds the bound times its median, else ``ok``; per
-workload each side's median and quartiles of the round counts; every
-verify and Tier-1 timing, the latter with the counts of pytest's summary
-line, and each side's median and quartiles of their wall times; and the
-machine: CPUs, CPU model, Python, numpy, BLAS, the
+``relative_change`` (change median / parent median - 1), ``parent_spread``
+(the parent's interquartile range / median) and a ``verdict`` from that
+file's ``bound`` and ``better``: ``worse`` when the change is worse by more
+than the bound, else ``unresolved`` when ``parent_spread`` exceeds the
+bound, else ``ok``; per workload each side's median and quartiles of the
+round counts; every verify and Tier-1 timing, the latter with the counts of
+pytest's summary line, and each side's median and quartiles of their wall
+times; and the machine: CPUs, CPU model, Python, numpy, BLAS, the
 ``OPENBLAS_NUM_THREADS`` and ``PYTHONDONTWRITEBYTECODE`` settings and the
 load average at start and end; and per side the checked-out commit and
 whether its tree differs from it (``git status --porcelain`` prints
 anything), both null outside a git checkout.  Under ``outputs``, per command
-the exit codes, per stdout line (the output directory written ``<out>``)
-``identical`` or both versions, and per CSV ``identical`` (byte for byte) or
-per column the largest absolute and relative difference, each with its data
-row; and per ``verify`` criterion, from the first timed run of each side,
-``identical apart from runtime=`` or both lines.  The exit status is 1 if any
-run reported ``correct: false`` or printed no result, else 0.
+(keyed by its arguments) the exit codes, per stdout line (the output
+directory written ``<out>``) ``identical`` or both versions, and per CSV
+``identical`` (byte for byte) or per column the largest absolute and
+relative difference, each with its data row; and per ``verify`` criterion,
+from the first timed run of each side, ``identical apart from runtime=`` or
+both lines.  The exit status is 1 if any run reported ``correct: false`` or
+printed no result, else 0.
 """
 
 from __future__ import annotations
@@ -62,7 +65,9 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 _COUNT = re.compile(r"(\d+) ([a-z]+)")
 _ROUNDS = re.compile(r"^workload=\S+ seed=\S+ rounds=(\d+)", re.MULTILINE)
 _RUNTIME = re.compile(r"runtime=\S+")
-OUTPUT_COMMANDS = ("simulate", "asymptotic", "speed")
+# the arguments of each command of the output record, which is keyed by them
+OUTPUT_COMMANDS = (("simulate",), ("asymptotic",), ("speed",),
+                   ("speed", "--set", "parameters.d=1e-7"))
 
 
 def last_json_line(stdout: str) -> dict | None:
@@ -106,15 +111,15 @@ def _stats(values) -> dict:
 
 def verdict(metric: dict, bound: float, better: str) -> dict:
     """``relative_change`` of a summarized metric, change median over parent
-    median minus 1, and its ``verdict``: ``worse`` beyond ``bound`` in the
+    median minus 1, ``parent_spread``, the parent's interquartile range over
+    its median, and its ``verdict``: ``worse`` beyond ``bound`` in the
     direction that ``better`` ("lower" or "higher") calls worse, else
-    ``unresolved`` when the parent's interquartile range over its median
-    exceeds ``bound``, else ``ok``."""
+    ``unresolved`` when ``parent_spread`` exceeds ``bound``, else ``ok``."""
     parent = metric["parent"]
     relative = metric["change"]["median"] / parent["median"] - 1.0
     spread = (parent["q3"] - parent["q1"]) / parent["median"]
     worse = relative > bound if better == "lower" else relative < -bound
-    return {"relative_change": relative,
+    return {"relative_change": relative, "parent_spread": spread,
             "verdict": "worse" if worse else "unresolved" if spread > bound else "ok"}
 
 
@@ -307,9 +312,9 @@ def compare_outputs(dirs: dict, runs: dict) -> dict:
                       for name in names}}
 
 
-def _run_command(root: Path, command: str, outdir: Path) -> dict:
+def _run_command(root: Path, args, outdir: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-m", "cityroad.cli", command,
+    proc = subprocess.run([sys.executable, "-m", "cityroad.cli", *args,
                            "--set", f"output.dir={outdir}"],
                           cwd=root, env=env, capture_output=True, text=True)
     return {"exit": proc.returncode,
@@ -320,11 +325,11 @@ def output_record(roots: dict, verify: dict) -> dict:
     """Each OUTPUT_COMMANDS command compared across the sides, each side run
     into a fresh directory, and the criteria of each side's first verify run."""
     record = {}
-    for command in OUTPUT_COMMANDS:
+    for args in OUTPUT_COMMANDS:
         with tempfile.TemporaryDirectory() as tmp:
             dirs = {side: Path(tmp) / side for side in SIDES}
-            runs = {side: _run_command(roots[side], command, dirs[side]) for side in SIDES}
-            record[command] = compare_outputs(dirs, runs)
+            runs = {side: _run_command(roots[side], args, dirs[side]) for side in SIDES}
+            record[" ".join(args)] = compare_outputs(dirs, runs)
     record["verify"] = compare_lines(
         *(verify[side]["runs"][0]["lines"] for side in SIDES),
         same=lambda p, c: _RUNTIME.sub("", p) == _RUNTIME.sub("", c),
@@ -369,10 +374,10 @@ def main(argv=None) -> int:
         "statistics": "median and quartiles (numpy linear interpolation) over the untraced "
                       "pairs, and for verify and tier1 over their runs per side; "
                       "change_lower = pairs in which the change's value is lower; "
-                      "relative_change = change median / parent median - 1, and verdict "
-                      "from the change's BENCHMARK.json bound and better: worse beyond "
-                      "the bound, else unresolved when the parent's IQR / median exceeds "
-                      "it, else ok",
+                      "relative_change = change median / parent median - 1, "
+                      "parent_spread = the parent's IQR / median, and verdict from the "
+                      "change's BENCHMARK.json bound and better: worse beyond the bound, "
+                      "else unresolved when parent_spread exceeds it, else ok",
         "machine": {**machine_facts(), "loadavg_start": load_start,
                     "loadavg_end": os.getloadavg()},
         "checkouts": checkouts,

@@ -64,10 +64,16 @@ class AsymptoticSpeed:
     dpsi_dmu_residual: float  # |dPsi/dmu| relative to its term root'(mu*)
 
 
-def _delta_inf(cosh_mu: float, p: Parameters) -> float:
-    """DeltaInf from cosh(mu)."""
+def _delta_inf(mu: float, p: Parameters) -> float:
+    """DeltaInf at mu; one that overflows is rejected by name."""
     alpha, beta, f0 = p.alpha, p.beta, p.fprime0
-    return (2.0 * alpha - 2.0 * beta + f0) ** 2 + 8.0 * alpha * beta * (1.0 + cosh_mu)
+    try:
+        delta = (2.0 * alpha - 2.0 * beta + f0) ** 2 + 8.0 * alpha * beta * (1.0 + math.cosh(mu))
+    except OverflowError:  # raised by ** and cosh; a product overflows to inf instead
+        delta = math.inf
+    if delta == math.inf:
+        raise ValueError(f"DeltaInf overflows at mu = {mu:.3e}: inadmissible parameters")
+    return delta
 
 
 def _root(mu: float, sq: float, p: Parameters) -> float:
@@ -86,7 +92,7 @@ def asymptotic_dispersion_eval(mu: float, c: float, p: Parameters) -> Asymptotic
     """(Psi(c, mu), DeltaInf(mu), c_plus(mu)); c_plus is +inf at mu = 0."""
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    delta = _delta_inf(math.cosh(mu), p)
+    delta = _delta_inf(mu, p)
     root = _root(mu, math.sqrt(delta), p)
     psi = root - 2.0 * mu * c
     c_plus = root / (2.0 * mu) if mu > 0 else math.inf
@@ -97,8 +103,8 @@ def _tangency(mu: float, p: Parameters):
     """g(mu) = mu root' - root, g'(mu) = mu root'' and root' = 4ab sinh / sqrt(D),
     with D = DeltaInf and root'' = 4ab / sqrt(D) (cosh - 4ab sinh^2 / D)."""
     ab4 = 4.0 * p.alpha * p.beta
+    sq = math.sqrt(_delta_inf(mu, p))
     ch, sh = math.cosh(mu), math.sinh(mu)
-    sq = math.sqrt(_delta_inf(ch, p))
     slope = ab4 * sh / sq
     return mu * slope - _root(mu, sq, p), mu * ab4 / sq * (ch - ab4 * sh * sh / (sq * sq)), slope
 

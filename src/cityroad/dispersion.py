@@ -21,13 +21,15 @@ inherits its accuracy and its sign.  The decay rate is
 mu(lambda) = arccosh(y) = log1p((y - 1) + sqrt((y - 1)(y + 1))) once y > 1,
 which happens exactly above the unique threshold lambda0 where g - G changes
 sign, and the spreading speed is the minimum of c(lambda) = lambda / mu(lambda)
-over (lambda0, inf).  The threshold is zoomed onto the sign change of g - G,
-and the minimum onto the smallest c over the window (lambda0, 4 lambda0],
-whose first zoom round, a scan, reports every grid-local minimum because
-uniqueness of the minimizer is only conjectured.  Where mu^2 is concave, the
-minimizer's lambda mu^2' = 2 mu^2 puts it below 2 lambda0.
+over (lambda0, inf).  The threshold is the root of g - G on Python floats,
+bracketed by halving or doubling from lambda = 1 and closed by safeguarded
+Illinois steps.  The minimum is zoomed onto the smallest c over the window
+(lambda0, 4 lambda0], whose first zoom round, a scan, reports every
+grid-local minimum because uniqueness of the minimizer is only conjectured.
+Where mu^2 is concave, the minimizer's lambda mu^2' = 2 mu^2 puts it below
+2 lambda0.
 
-A solve is a few dozen evaluations on a few hundred points, so it runs at
+The zoom is a few evaluations on a few hundred points, so it runs at
 numpy's per-call cost, not at its arithmetic.  Each evaluation therefore
 enters one ``np.errstate``, computes the Taylor branch (s < 1e-4) and the
 log-space branch (s > 300) only when some element needs them, and masks the
@@ -66,7 +68,7 @@ _EPS = float(np.finfo(float).eps)
 # its ends in u, and the points of its first zoom round, the scan.
 _U_WINDOW = (math.log(4.0 * _EPS), math.log(3.0))
 _GRID_POINTS = 2000
-# Points per later round of the bracket zooms that refine lambda0 and lambda*.
+# Points per later round of the zoom that refines lambda*.
 _ZOOM_POINTS = 256
 
 
@@ -119,8 +121,8 @@ def _log_sinh(s):
 
 
 def _terms(lams, p: Parameters):
-    """s, sinh(s) / s, Delta and g - G at a float lambda or along a float
-    array of them.  Callers hold the errstate."""
+    """s, sinh(s) / s, Delta and g - G along a float array of lambdas.
+    Callers hold the errstate."""
     alpha, beta, d, f0 = p.alpha, p.beta, p.d, p.fprime0
     s = np.sqrt(lams / d)
     r_tanh, sinh_over_s = _ratios(s)
@@ -166,39 +168,70 @@ def dispersion_eval(lam: float, p: Parameters) -> DispersionPoint:
                            None if math.isnan(c) else c)
 
 
-def _g_minus_G(lam, p: Parameters):
-    """g - G at a float lambda or along a float array of them."""
-    with np.errstate(over="ignore"):
-        return _terms(lam, p)[3]
+def _scalar_terms(lam: float, p: Parameters):
+    """s, Delta and g - G at one float lambda, in the math module; a Delta
+    that overflows, with which g - G would read lambda - f'(0), is rejected
+    by name."""
+    alpha, beta, d, f0 = p.alpha, p.beta, p.d, p.fprime0
+    s = math.sqrt(lam / d)
+    r_tanh = 1.0 + s * s / 3.0 if s < _TAYLOR_SWITCH else s / math.tanh(s)
+    delta = alpha * alpha + d * lam + 2.0 * alpha * (d * r_tanh)
+    if delta == math.inf:
+        raise ValueError(f"Delta overflows at lambda = {lam:.3e}: inadmissible parameters")
+    return s, delta, (lam - f0) + 2.0 * beta * d * (lam + alpha * s * math.tanh(0.5 * s)) / delta
 
 
-def _zoom_sign_change(fun, a: float, b: float):
-    """One zoom round on [a, b] with fun(a) <= 0 < fun(b): evaluate fun on
-    _ZOOM_POINTS points and return the neighbours (a, b, fun(a), fun(b)) of
-    the first positive value."""
-    x = np.linspace(a, b, _ZOOM_POINTS)
-    v = fun(x)
-    i = int((v > 0.0).argmax()) if v[-1] > 0.0 else len(x) - 1
-    i = max(i, 1)
-    return float(x[i - 1]), float(x[i]), float(v[i - 1]), float(v[i])
+def _bracketed_root(fun, a: float, fa: float, b: float, fb: float):
+    """Close the bracket [a, b] of the increasing fun, fa = fun(a) <= 0 <
+    fun(b) = fb, to 4 ulps of b and return it as (a, b, fa, fb).  Illinois
+    steps (Dowell & Jarratt, BIT 11, 1971): regula falsi whose weight at an
+    end kept twice running is halved; a bisection instead wherever the step
+    would not fall strictly inside, or two steps left the bracket more than
+    half as wide as before them.  A NaN value counts as <= 0."""
+    wa, wb = fa, fb
+    moved = 0  # +1 after a step moved b, -1 after one moved a
+    widths = (math.inf, math.inf)  # the bracket's widths two and one steps ago
+    while b - a > 4.0 * math.ulp(b):
+        x = b - wb * ((b - a) / (wb - wa))
+        if not a < x < b or b - a > 0.5 * widths[0]:
+            x = a + 0.5 * (b - a)
+        widths = (widths[1], b - a)
+        fx = fun(x)
+        if fx > 0.0:
+            if moved > 0:
+                wa *= 0.5
+            b, fb, wb, moved = x, fx, fx, 1
+        else:
+            if moved < 0:
+                wb *= 0.5
+            a, fa, wa, moved = x, fx, fx, -1
+    return a, b, fa, fb
 
 
 def _threshold(p: Parameters):
     """(lambda0, b): the threshold and the upper end of its bracket [a, b].
-    Bracketed by doubling from [0, 1], then zoomed on g - G until the bracket
-    is 4 eps b wide.  The bracket is the certificate: g - G(a) <= 0 < g - G(b),
-    else the threshold post-check fails.  lambda0 is the end with the smaller
-    |g - G|."""
+    Bracketed within a factor 2 by halving or doubling from lambda = 1 on
+    g - G, so scaling every rate by 2^n scales each bracket exactly, then
+    closed by _bracketed_root.  The bracket is the certificate:
+    g - G(a) <= 0 < g - G(b), else the threshold post-check fails.  lambda0
+    is the end with the smaller |g - G|."""
     if p.fprime0 <= 0:
         raise ValueError("threshold needs f'(0) > 0")
-    a = 0.0
-    b = 1.0
-    while _g_minus_G(b, p) <= 0.0:
-        b *= 2.0
-        if not math.isfinite(b):
+
+    def g_minus_G(lam):
+        return _scalar_terms(lam, p)[2]
+
+    lam = 1.0
+    g = g_minus_G(lam)
+    positive = g > 0.0
+    while (g > 0.0) == positive:  # halve while g - G > 0, double while it is <= 0
+        last = (lam, g)
+        lam *= 0.5 if positive else 2.0
+        if lam == math.inf:
             raise RuntimeError("no finite dispersion threshold: inadmissible parameters")
-    while b - a > 4.0 * _EPS * b:
-        a, b, g_a, g_b = _zoom_sign_change(lambda lam: _g_minus_G(lam, p), a, b)
+        g = g_minus_G(lam)
+    (a, g_a), (b, g_b) = sorted((last, (lam, g)))
+    a, b, g_a, g_b = _bracketed_root(g_minus_G, a, g_a, b, g_b)
     if not g_a <= 0.0 < g_b:
         raise RuntimeError(f"threshold post-check failed: g - G = ({g_a:.3e}, {g_b:.3e}) "
                            f"at the bracket ends")
@@ -261,9 +294,8 @@ def _hyperbolic_over_sinh(s: float, u):
 
 def _profile_scales(lam: float, p: Parameters):
     """s = sqrt(lam / d), sqrt(lam d) and beta / Delta(lam)."""
-    with np.errstate(over="ignore"):
-        s, _, delta, _ = _terms(lam, p)
-    return float(s), math.sqrt(lam * p.d), p.beta / float(delta)
+    s, delta, _ = _scalar_terms(lam, p)
+    return s, math.sqrt(lam * p.d), p.beta / delta
 
 
 def _edge_profile(s: float, sq: float, k: float, alpha: float, e_mu: float, left, right):

@@ -20,6 +20,7 @@ closed-form algebra of stationary states.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -74,7 +75,9 @@ def logistic(rate: float) -> NonlinearityDescriptor:
 class Parameters:
     """Model constants of the unit-length lattice: exchange rates alpha
     (road->city) and beta (city->road), edge diffusivity d, and the reaction
-    descriptor."""
+    descriptor.  A nonzero rate below the smallest normal float is rejected
+    by name: it carries fewer than 53 significant bits, and the speed
+    solvers, whose brackets close to 4 ulps, need not return on it."""
 
     alpha: float
     beta: float
@@ -86,6 +89,11 @@ class Parameters:
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {val}")
+        for name in ("alpha", "beta", "d", "fprime0"):
+            val = getattr(self, name)
+            if 0 < val < sys.float_info.min:
+                raise ValueError(f"{name} = {val} is below the smallest normal float "
+                                 f"{sys.float_info.min}")
 
     @property
     def fprime0(self) -> float:

@@ -125,7 +125,11 @@ class TestCStarInf:
 
 def oracle_c_star_inf(q, mu0):
     """min over mu > 0 of c_plus at 60 digits: the root of
-    g(mu) = mu root'(mu) - root(mu), found from mu0."""
+    g(mu) = mu root'(mu) - root(mu), found from mu0.  For b = 2 alpha +
+    2 beta - f'(0) > 0, root = sqrt(DeltaInf) - b is formed as
+    8 alpha (f'(0) + 2 beta sinh^2(mu/2)) / (sqrt(DeltaInf) + b): the
+    difference loses to cancellation every digit by which root falls below b,
+    more than 60 where rates lie far apart."""
     with mpmath.workdps(60):
         alpha, beta, f0 = (mpmath.mpf(x) for x in (q[0], q[1], q[3]))
         b = 2 * alpha + 2 * beta - f0
@@ -134,20 +138,27 @@ def oracle_c_star_inf(q, mu0):
             return mpmath.sqrt((2 * alpha - 2 * beta + f0) ** 2
                                + 8 * alpha * beta * (1 + mpmath.cosh(mu)))
 
+        def root(mu):
+            if b > 0:
+                return 8 * alpha * (f0 + 2 * beta * mpmath.sinh(mu / 2) ** 2) / (sq(mu) + b)
+            return sq(mu) - b
+
         def g(mu):
-            return mu * 4 * alpha * beta * mpmath.sinh(mu) / sq(mu) - (sq(mu) - b)
+            return mu * 4 * alpha * beta * mpmath.sinh(mu) / sq(mu) - root(mu)
 
         mu = mpmath.findroot(g, mpmath.mpf(mu0))
-        return (sq(mu) - b) / (2 * mu)
+        return root(mu) / (2 * mu)
 
 
 BOX_CORNERS = list(itertools.product((0.1, 10.0), repeat=4))
 # beyond the corners: a tiny, a small and a huge f'(0), and rates far apart,
-# where sqrt(DeltaInf) - (2 alpha + 2 beta - f'(0)) cancels
+# where sqrt(DeltaInf) - (2 alpha + 2 beta - f'(0)) cancels, the last by
+# more than 60 digits (there the oracle's difference form was 3.6e-11 off)
 ORACLE_POINTS = BOX_CORNERS + [
     (1.0, 1.0, 1.0, 1e-9), (0.1, 10.0, 1.0, 0.1), (1.0, 1.0, 1.0, 1e-12),
     (1.0, 1.0, 1.0, 1e8), (1.0, 1e6, 1.0, 1.0), (1e6, 1.0, 1.0, 1.0),
     (1e-6, 1.0, 1e-6, 1e-6), (0.1, 1e5, 1.0, 1e-5),
+    (6.2168e-15, 7.7161e13, 2.5587e6, 1.3873e-9),
 ]
 
 

@@ -97,6 +97,7 @@ class TestSummarize:
                   "peak_rss_mb": {"bound": 0.1, "better": "lower"}}
         metrics = bench_pairs.summarize(self.runs(), bounds)["limit"]["metrics"]
         assert metrics["wall_s"]["relative_change"] == pytest.approx(1.65 / 2.3 - 1.0)
+        assert metrics["wall_s"]["parent_spread"] == pytest.approx(0.3 / 2.3)
         assert metrics["wall_s"]["verdict"] == "ok"
         assert metrics["peak_rss_mb"]["relative_change"] == 0.0
         assert metrics["peak_rss_mb"]["verdict"] == "ok"
@@ -263,6 +264,24 @@ class TestOutputs:
             "rows": {"parent": 1, "change": 2}}
         assert bench_pairs.compare_csv(parent, tmp_path / "change" / "gone.csv") == {
             "exists": {"parent": True, "change": False}}
+
+    def test_each_command_with_its_arguments(self, tmp_path, monkeypatch):
+        calls = []
+
+        def run_command(root, args, outdir):
+            calls.append((root, tuple(args)))
+            self.write(outdir.parent, outdir.name, "s.csv", "lambda\n1\n")
+            return {"exit": 0, "stdout": ["c_star=0.6"]}
+
+        monkeypatch.setattr(bench_pairs, "_run_command", run_command)
+        verify = {side: {"runs": [{"lines": []}]} for side in ("parent", "change")}
+        record = bench_pairs.output_record({"parent": "P", "change": "C"}, verify)
+        steep = "speed --set parameters.d=1e-7"
+        assert list(record) == ["simulate", "asymptotic", "speed", steep, "verify"]
+        assert record[steep] == {"exit": "identical", "stdout": ["identical"],
+                                 "files": {"s.csv": "identical"}}
+        assert calls[-2:] == [("P", ("speed", "--set", "parameters.d=1e-7")),
+                              ("C", ("speed", "--set", "parameters.d=1e-7"))]
 
     def test_one_command(self, tmp_path):
         self.write(tmp_path, "parent", "a.csv", "t,m\n0,1\n")

@@ -71,14 +71,14 @@ def outdir_arg(path):
     return ["--set", f"output.dir={path}"]
 
 
-def run_cli(args, tmp_path):
+def run_cli(args, tmp_path, timeout=None):
     """Run ``python -m cityroad.cli`` in ``tmp_path`` with output in
     ``tmp_path / "out"``; callers need ``package_on_pythonpath``."""
     if args[0] != "verify":
         args = [*args, *outdir_arg(tmp_path / "out")]
     return subprocess.run(
         [sys.executable, "-m", "cityroad.cli", *args],
-        capture_output=True, text=True, cwd=str(tmp_path),
+        capture_output=True, text=True, cwd=str(tmp_path), timeout=timeout,
     )
 
 
@@ -115,6 +115,23 @@ class TestCommands:
         assert main(["speed", *sets, *outdir_arg(tmp_path / "out")]) == 0
         line = capsys.readouterr().out.splitlines()[0]
         assert dict(kv.split("=") for kv in line.split())[field] == value
+
+    @pytest.mark.parametrize("rate,fragment", [
+        # subnormal rates: speed did not return within 10 s, nor c*_inf at 1e-320
+        ("fprime0=1e-310", "fprime0 = 1e-310 is below the smallest normal float"),
+        ("alpha=1e-310", "alpha = 1e-310 is below the smallest normal float"),
+        ("fprime0=1e-320", "fprime0 = 1e-320 is below the smallest normal float"),
+        # alpha^2 in Delta, (2 alpha - 2 beta + f'(0))^2 in DeltaInf overflow:
+        # an OverflowError traceback, exit 1
+        ("alpha=1e155", "Delta overflows at lambda = 1.000e+00"),
+        ("alpha=1e200", "Delta overflows at lambda = 1.000e+00"),
+        ("alpha=1e300", "Delta overflows at lambda = 1.000e+00"),
+        ("beta=1e300", "DeltaInf overflows at mu = 1.000e+00"),
+    ])
+    def test_speed_rejects_inadmissible_rates_by_name(self, rate, fragment, tmp_path):
+        proc = run_cli(["speed", "--set", f"parameters.{rate}"], tmp_path, timeout=10)
+        assert proc.returncode == 2
+        assert_one_line_error(proc, fragment)
 
     def test_simulate_emits_trajectory(self, tmp_path):
         proc = run_cli(

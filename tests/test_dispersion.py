@@ -10,8 +10,8 @@ from cityroad import dispersion
 from cityroad.dispersion import (
     _EPS,
     _eval_arrays,
-    _g_minus_G,
     _ratios,
+    _scalar_terms,
     _terms,
     compute_c_star,
     dispersion_eval,
@@ -166,7 +166,7 @@ class TestLambda0:
     def test_bracket_always_valid_at_zero(self):
         # g(0) = 2 beta - f'(0) < 2 beta = G(0) whenever f'(0) > 0
         for f0 in (0.1, 1.0, 3.0):
-            assert _g_minus_G(0.0, params(fprime0=f0)) == pytest.approx(-f0, abs=1e-12)
+            assert _scalar_terms(0.0, params(fprime0=f0))[2] == pytest.approx(-f0, abs=1e-12)
 
     def test_post_check(self):
         p = params()
@@ -174,11 +174,11 @@ class TestLambda0:
         assert abs(dispersion_eval(lam0, p).y - 1.0) <= 1e-10
 
     def test_grid_scan_oracle(self):
-        # independent dense-grid sign scan brackets the same root
+        # independent dense-grid sign scan of the array y - 1 brackets the same root
         p = params()
         lam0 = find_lambda0(p)
         grid = np.linspace(1e-6, 4.0, 100_000)
-        vals = _g_minus_G(grid, p)
+        vals = _eval_arrays(grid, p)[1] - 1.0
         idx = np.nonzero(np.diff(np.sign(vals)) > 0)[0]
         assert len(idx) == 1  # exactly one crossing
         assert grid[idx[0]] <= lam0 <= grid[idx[0] + 1]
@@ -194,16 +194,18 @@ class TestLambda0:
         assert y[0] < 1.0 < y[1]
 
     def test_steep_threshold_needs_sign_change_of_g_minus_G(self, monkeypatch):
-        # at d = 1e-7 y jumps across 1 within an ulp of lambda0, so the zoom's
-        # bracket is the certificate: a g - G that loses its sign change
-        # inside the zoom (here: negative on every zoom point) must fail it
+        # at d = 1e-7 y jumps across 1 within an ulp of lambda0, so the bracket
+        # is the certificate: a g - G that loses its sign inside the bracket
+        # (here NaN at every point but the bracketing's powers of two) must
+        # fail it
         p = params(d=1e-7)
-        real = _g_minus_G
+        real = _scalar_terms
 
-        def no_sign_change(lam, p):
-            return -np.ones(np.size(lam)) if np.ndim(lam) else real(lam, p)
+        def nan_inside(lam, p):
+            s, delta, g_minus_G = real(lam, p)
+            return s, delta, g_minus_G if math.frexp(lam)[0] == 0.5 else math.nan
 
-        monkeypatch.setattr(dispersion, "_g_minus_G", no_sign_change)
+        monkeypatch.setattr(dispersion, "_scalar_terms", nan_inside)
         with pytest.raises(RuntimeError, match="threshold post-check failed"):
             find_lambda0(p)
 
@@ -438,8 +440,14 @@ def ref_eval_arrays(lams, p):
     return delta, ym1 + 1.0, mu, c
 
 
-def ref_g_minus_G(lam, p):
-    return ref_terms(lam, p)[3]
+def ref_scalar_terms(lam, p):
+    """ref_terms' s, Delta and g - G at one Python float, in the math module
+    and with alpha^2 as a product."""
+    alpha, beta, d, f0 = p.alpha, p.beta, p.d, p.fprime0
+    s = math.sqrt(lam / d)
+    r_tanh = 1.0 + s * s / 3.0 if s < 1e-4 else s / math.tanh(s)
+    delta = alpha * alpha + d * lam + 2.0 * alpha * (d * r_tanh)
+    return s, delta, (lam - f0) + 2.0 * beta * d * (lam + alpha * s * math.tanh(0.5 * s)) / delta
 
 
 def ref_hyperbolic_over_sinh(s, u):
@@ -449,8 +457,8 @@ def ref_hyperbolic_over_sinh(s, u):
 
 
 def ref_profile_scales(lam, p):
-    s, _, delta, _ = ref_terms(lam, p)
-    return float(s), math.sqrt(lam * p.d), p.beta / float(delta)
+    s, delta, _ = ref_scalar_terms(lam, p)
+    return s, math.sqrt(lam * p.d), p.beta / delta
 
 
 def ref_profile_v(x, lam, mu, p):
@@ -548,11 +556,13 @@ class TestBitIdentical:
     @pytest.mark.parametrize("q", BIT_PARAMS)
     @pytest.mark.parametrize("kind", list(S_GRIDS))
     def test_g_minus_G(self, kind, q):
+        # the scalar terms on floats: the reference's operations, and the
+        # array terms' s (a quotient and a square root, correctly rounded in both)
         p = Parameters(*q[:3], nonlinearity=logistic(q[3]))
         lams = self.lams(kind, p.d)
-        assert_same_bits(_g_minus_G(lams, p), ref_g_minus_G(lams, p))
-        for lam in lams[::7]:
-            assert _g_minus_G(float(lam), p) == ref_g_minus_G(float(lam), p)
+        got = [_scalar_terms(float(lam), p) for lam in lams]
+        assert got == [ref_scalar_terms(float(lam), p) for lam in lams]
+        assert_same_bits(np.array([s for s, _, _ in got]), ref_terms(lams, p)[0])
 
     @pytest.mark.parametrize("q", BIT_PARAMS)
     @pytest.mark.parametrize("kind", list(S_GRIDS))
@@ -572,7 +582,7 @@ class TestBitIdentical:
         p = params(d=d)
         got = compute_c_star(p)
         monkeypatch.setattr(dispersion, "_eval_arrays", ref_eval_arrays)
-        monkeypatch.setattr(dispersion, "_g_minus_G", ref_g_minus_G)
+        monkeypatch.setattr(dispersion, "_scalar_terms", ref_scalar_terms)
         monkeypatch.setattr(dispersion, "exponential_ansatz_residual", ref_residual)
         want = compute_c_star(p)
         assert (got.lambda0, got.lambda_star, got.mu_star, got.c_star) == \
@@ -630,8 +640,8 @@ class TestOracle:
     @pytest.mark.parametrize("kind", list(S_GRIDS))
     def test_g_minus_G(self, kind, q):
         p = Parameters(*q[:3], nonlinearity=logistic(q[3]))
-        lams = S_GRIDS[kind] ** 2 * p.d
-        for lam, got in zip(lams, _g_minus_G(lams, p)):
+        for lam in S_GRIDS[kind] ** 2 * p.d:
+            got = _scalar_terms(float(lam), p)[2]
             want, scale, _, _ = mp_terms(float(lam), q)
             assert abs(got - want) <= 4.0 * _EPS * scale
 

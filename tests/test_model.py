@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ class TestRescale:
         for ell in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="ell must be finite and > 0"):
                 rescale_to_unit_length(Parameters(1.0, 1.0, 1.0), ell)
+
+    def test_rejects_subnormal_rates_by_name(self):
+        tiny = sys.float_info.min
+        Parameters(tiny, tiny, tiny, nonlinearity=logistic(tiny))  # normal: admitted
+        Parameters(1.0, 1.0, 1.0, nonlinearity=logistic(0.0))  # no reaction: admitted
+        for name in ("alpha", "beta", "d", "fprime0"):
+            rates = {"alpha": 1.0, "beta": 1.0, "d": 1.0, "fprime0": 1.0, name: tiny / 2.0}
+            with pytest.raises(ValueError, match=f"{name} = .* below the smallest normal"):
+                Parameters(rates["alpha"], rates["beta"], rates["d"],
+                           nonlinearity=logistic(rates["fprime0"]))
 
 
 class TestNonlinearity:

@@ -1,21 +1,24 @@
 """Invariants of the spreading speeds c* and c*_inf over the box [0.1, 10]^4.
 
 Scaling every rate (alpha, beta, d, f'(0)) by k is the time change t -> k t,
-so it multiplies c* and c*_inf by exactly k; faster road diffusion can only
-speed the front up, and the fast-diffusion limit bounds c* from above.  Each
-property also runs at the 16 corners of the box.  The time rescaling of
-both speeds also runs over the log box [1e-6, 1e6]^4, with k from 1e-14 to
-1e14 at (1, 1, 1, 1), and both solvers run at seeded points of the wider
-boxes [1e-12, 1e12]^4 and [1e-15, 1e15]^4.
+so it multiplies c* and c*_inf by exactly k, and by k bit for bit where k
+is a power of two; faster road diffusion can only speed the front up, and
+the fast-diffusion limit bounds c* from above.  Each property also runs at
+the 16 corners of the box.  The time rescaling of both speeds also runs
+over the log box [1e-6, 1e6]^4, with k from 1e-14 to 1e14 at (1, 1, 1, 1),
+and both solvers run at seeded points of the log boxes [1e-6, 1e6]^4,
+[1e-12, 1e12]^4 and [1e-15, 1e15]^4.
 """
 
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cityroad import dispersion
 from cityroad.asymptotic import compute_c_star_inf
-from cityroad.dispersion import compute_c_star
+from cityroad.dispersion import compute_c_star, find_lambda0
 from cityroad.model import Parameters, logistic
 
 rate = st.floats(0.1, 10.0)
@@ -26,6 +29,12 @@ box_settings = settings(max_examples=100, derandomize=True, database=None, deadl
 
 def params(alpha, beta, d, fprime0):
     return Parameters(alpha, beta, d, nonlinearity=logistic(fprime0))
+
+
+def wide_box_points(decades):
+    """400 seeded points of the log box [10^-decades, 10^decades]^4."""
+    return [tuple(float(v) for v in q)
+            for q in 10.0 ** np.random.default_rng(7).uniform(-decades, decades, (400, 4))]
 
 
 def at_corners(ks=(), **fixed):
@@ -59,6 +68,19 @@ def test_c_star_time_rescaling_log_box(alpha, beta, d, f0, k):
     c_k = compute_c_star(params(k * alpha, k * beta, k * d, k * f0)).c_star
     assert c > 0.0 and c_k > 0.0
     assert abs(c_k - k * c) <= 1e-9 * k * c
+
+
+@pytest.mark.parametrize("n", [-30, -7, -1, 1, 5, 30])
+def test_power_of_two_time_rescaling_is_exact(n):
+    # every rounding scales with the rates by 2^n, and each lambda0 bracket
+    # is a power-of-two interval [2^m, 2^(m+1)] before it closes
+    k = 2.0 ** n
+    for q in np.random.default_rng(3).uniform(0.1, 10.0, (60, 4)):
+        q = [float(v) for v in q]
+        p, p_k = params(*q), params(*(k * v for v in q))
+        res, res_k = compute_c_star(p), compute_c_star(p_k)
+        assert (res_k.lambda0, res_k.c_star) == (k * res.lambda0, k * res.c_star), q
+        assert compute_c_star_inf(p_k).c_star_inf == k * compute_c_star_inf(p).c_star_inf, q
 
 
 @box_settings
@@ -102,16 +124,39 @@ def test_c_star_below_c_star_inf(alpha, beta, d, f0):
 
 
 def test_speeds_over_wide_log_boxes():
-    # 400 seeded points each of [1e-12, 1e12]^4 and [1e-15, 1e15]^4: both
-    # solvers return, the minimizer sits within the c* window's first half
-    # (lambda* <= 2 lambda0, up to a flat minimum's sqrt(eps) placement), and
-    # c* < c*_inf up to a roundoff tie where d makes c*(d) meet c*_inf
-    for decades in (12, 15):
-        for q in 10.0 ** np.random.default_rng(7).uniform(-decades, decades, (400, 4)):
+    # 400 seeded points each of [1e-6, 1e6]^4, [1e-12, 1e12]^4 and
+    # [1e-15, 1e15]^4: both solvers return, the minimizer sits within the c*
+    # window's first half (lambda* <= 2 lambda0, up to a flat minimum's
+    # sqrt(eps) placement), and c* < c*_inf up to a roundoff tie where d
+    # makes c*(d) meet c*_inf
+    for decades in (6, 12, 15):
+        for q in wide_box_points(decades):
             p = params(*q)
             res = compute_c_star(p)
             assert res.lambda_star <= 2.0 * res.lambda0 * (1.0 + 1e-7), q
             assert res.c_star <= compute_c_star_inf(p).c_star_inf * (1.0 + 4.0 * EPS), q
+
+
+def test_threshold_evaluations_over_wide_log_boxes(monkeypatch):
+    # g - G evaluations per lambda0, the bracketing from lambda = 1 included,
+    # at the same 1200 points: the most in each box (medians 31, 56.5 and 64)
+    real = dispersion._scalar_terms
+    calls = []
+
+    def counted(lam, p):
+        calls.append(lam)
+        return real(lam, p)
+
+    monkeypatch.setattr(dispersion, "_scalar_terms", counted)
+    largest = {}
+    for decades in (6, 12, 15):
+        counts = []
+        for q in wide_box_points(decades):
+            calls.clear()
+            find_lambda0(params(*q))
+            counts.append(len(calls))
+        largest[decades] = max(counts)
+    assert largest[6] <= 74 and largest[12] <= 149 and largest[15] <= 161, largest
 
 
 def test_c_star_inf_tangency_residual():
