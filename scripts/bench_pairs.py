@@ -12,9 +12,10 @@ per-layer numbers.  Each checkout runs its own ``perfbench/`` on its own
 -m pytest -q --continue-on-collection-errors``), run ``CHECK_RUNS`` times in
 each checkout, timed, the sides alternating in the same way.  Last, each
 checkout runs ``cityroad simulate``, ``asymptotic`` and ``speed`` at the
-default config, and ``speed`` at ``d = 1e-7`` (a steep threshold, where
-solver changes move bits that the default config leaves alone), each into a
-fresh directory, for the output record.
+default config, ``speed`` at ``d = 1e-7`` (a steep threshold, where
+solver changes move bits that the default config leaves alone) and ``speed``
+at ``f'(0) = 1e-30`` (``mu* = 1.7e-15``, 49 halvings from ``mu = 1``), each
+into a fresh directory, for the output record.
 
 The record holds every run's last-line JSON and its round count (from
 perfbench's ``workload=... rounds=N`` line); per workload and metric the
@@ -67,7 +68,8 @@ _ROUNDS = re.compile(r"^workload=\S+ seed=\S+ rounds=(\d+)", re.MULTILINE)
 _RUNTIME = re.compile(r"runtime=\S+")
 # the arguments of each command of the output record, which is keyed by them
 OUTPUT_COMMANDS = (("simulate",), ("asymptotic",), ("speed",),
-                   ("speed", "--set", "parameters.d=1e-7"))
+                   ("speed", "--set", "parameters.d=1e-7"),
+                   ("speed", "--set", "parameters.fprime0=1e-30"))
 
 
 def last_json_line(stdout: str) -> dict | None:

@@ -13,9 +13,10 @@ whose exponential solutions satisfy Psi(c, mu) = 0 with
 
 The limit speed is the unique minimum over mu > 0 of the positive root
 c_plus(mu) = root(mu) / (2 mu), root = sqrt(DeltaInf) - (2 alpha + 2 beta -
-f'(0)), found by Newton's method inside a bracket of the tangency, with the
-root formed without cancellation.  This module integrates the ODE lattice
-through the shared driver ``lattice_sim.run_system``, with one classical RK4
+f'(0)), found at the tangency by the bracketed root finder that also gives
+c*'s threshold (``dispersion._bracketed_root``), with the root formed
+without cancellation.  This module integrates the ODE lattice through the
+shared driver ``lattice_sim.run_system``, with one classical RK4
 step per road level (``kernels.advance_asym``) in place of the Crank-Nicolson
 edge update; its snapshots are ``LatticeState``s whose roads hold one sample,
 the level V_j.
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
+from . import dispersion, kernels
 from .lattice_sim import (
     InitialData,
     SimulationConfig,
@@ -65,14 +66,16 @@ class AsymptoticSpeed:
 
 
 def _delta_inf(mu: float, p: Parameters) -> float:
-    """DeltaInf at mu; one that overflows is rejected by name."""
+    """DeltaInf at mu; one that overflows or underflows to 0 is rejected by
+    name."""
     alpha, beta, f0 = p.alpha, p.beta, p.fprime0
     try:
         delta = (2.0 * alpha - 2.0 * beta + f0) ** 2 + 8.0 * alpha * beta * (1.0 + math.cosh(mu))
     except OverflowError:  # raised by ** and cosh; a product overflows to inf instead
         delta = math.inf
-    if delta == math.inf:
-        raise ValueError(f"DeltaInf overflows at mu = {mu:.3e}: inadmissible parameters")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"DeltaInf {'underflows' if delta == 0.0 else 'overflows'} at "
+                         f"mu = {mu:.3e}: inadmissible parameters")
     return delta
 
 
@@ -100,49 +103,28 @@ def asymptotic_dispersion_eval(mu: float, c: float, p: Parameters) -> Asymptotic
 
 
 def _tangency(mu: float, p: Parameters):
-    """g(mu) = mu root' - root, g'(mu) = mu root'' and root' = 4ab sinh / sqrt(D),
-    with D = DeltaInf and root'' = 4ab / sqrt(D) (cosh - 4ab sinh^2 / D)."""
+    """g(mu) = mu root' - root and root' = 4ab sinh / sqrt(DeltaInf)."""
     ab4 = 4.0 * p.alpha * p.beta
     sq = math.sqrt(_delta_inf(mu, p))
-    ch, sh = math.cosh(mu), math.sinh(mu)
-    slope = ab4 * sh / sq
-    return mu * slope - _root(mu, sq, p), mu * ab4 / sq * (ch - ab4 * sh * sh / (sq * sq)), slope
+    slope = ab4 * math.sinh(mu) / sq
+    return mu * slope - _root(mu, sq, p), slope
 
 
 def compute_c_star_inf(p: Parameters) -> AsymptoticSpeed:
     """Minimize c_plus over mu > 0 at the root of g(mu) = mu root' - root:
     c_plus' = g / (2 mu^2), and g rises (g' = mu root'' > 0) from g(0) < 0.
-    Bracketed by halving or doubling from mu = 1, then closed to 4 ulps (a
-    subnormal bracket too) by Newton steps inside the open bracket, bisecting
-    where one leaves it.  The bracket g(mu_a) <= 0 < g(mu_b) is the certificate;
-    dPsi/dmu = root' - 2 c_inf is checked relative to root' at the end with the
+    The root is dispersion._bracketed_root's, as for the threshold of c*;
+    its bracket g(mu_a) <= 0 < g(mu_b) is the certificate, and dPsi/dmu =
+    root' - 2 c_inf is checked relative to root' at the end with the
     smaller |g|."""
     if p.fprime0 <= 0:
         raise ValueError("limit speed needs f'(0) > 0")
-    mu = 1.0
-    g, g_prime, _ = _tangency(mu, p)
-    positive = g > 0.0
-    while (g > 0.0) == positive:  # halve while g > 0, double while g <= 0
-        last = (mu, g)
-        mu *= 0.5 if positive else 2.0
-        g, g_prime, _ = _tangency(mu, p)
-    (a, g_a), (b, g_b) = sorted((last, (mu, g)))
-    while b - a > 4.0 * math.ulp(b):
-        newton = mu - g / g_prime
-        if abs(newton - mu) < 2.0 * math.ulp(mu):  # too short to cross the root: reach over it
-            newton = mu + (2.0 if g <= 0.0 else -2.0) * math.ulp(mu)
-        mu = newton if a < newton < b else 0.5 * (a + b)
-        g, g_prime, _ = _tangency(mu, p)
-        if g > 0.0:
-            b, g_b = mu, g
-        else:
-            a, g_a = mu, g
+    mu_star, a, b, g_a, g_b = dispersion._bracketed_root(lambda mu: _tangency(mu, p)[0])
     if not g_a <= 0.0 < g_b:
         raise RuntimeError(f"tangency bracket lost its sign change: g = ({g_a:.3e}, {g_b:.3e}) "
                            f"at mu = ({a:.3e}, {b:.3e})")
-    mu_star = a if abs(g_a) <= abs(g_b) else b
     c_inf = asymptotic_dispersion_eval(mu_star, 0.0, p).c_plus
-    slope = _tangency(mu_star, p)[2]
+    slope = _tangency(mu_star, p)[1]
     dpsi_res = abs(slope - 2.0 * c_inf) / slope
     if not dpsi_res <= 1e-8:
         raise RuntimeError(f"tangency residual |dPsi/dmu| / root' = {dpsi_res:.3e} exceeds 1e-8")

@@ -23,9 +23,10 @@ which happens exactly above the unique threshold lambda0 where g - G changes
 sign, and the spreading speed is the minimum of c(lambda) = lambda / mu(lambda)
 over (lambda0, inf).  The threshold is the root of g - G on Python floats,
 bracketed by halving or doubling from lambda = 1 and closed by safeguarded
-Illinois steps.  The minimum is zoomed onto the smallest c over the window
-(lambda0, 4 lambda0], whose first zoom round, a scan, reports every
-grid-local minimum because uniqueness of the minimizer is only conjectured.
+Illinois steps (_bracketed_root, which also finds c*_inf's tangency).  The
+minimum is zoomed onto the smallest c over the window (lambda0, 4 lambda0],
+whose first zoom round, a scan, reports every grid-local minimum because
+uniqueness of the minimizer is only conjectured.
 Where mu^2 is concave, the minimizer's lambda mu^2' = 2 mu^2 puts it below
 2 lambda0.
 
@@ -170,32 +171,48 @@ def dispersion_eval(lam: float, p: Parameters) -> DispersionPoint:
 
 def _scalar_terms(lam: float, p: Parameters):
     """s, Delta and g - G at one float lambda, in the math module; a Delta
-    that overflows, with which g - G would read lambda - f'(0), is rejected
-    by name."""
+    that overflows, with which g - G would read lambda - f'(0), or that
+    underflows to 0, with which it would divide by zero, is rejected by
+    name."""
     alpha, beta, d, f0 = p.alpha, p.beta, p.d, p.fprime0
     s = math.sqrt(lam / d)
     r_tanh = 1.0 + s * s / 3.0 if s < _TAYLOR_SWITCH else s / math.tanh(s)
     delta = alpha * alpha + d * lam + 2.0 * alpha * (d * r_tanh)
-    if delta == math.inf:
-        raise ValueError(f"Delta overflows at lambda = {lam:.3e}: inadmissible parameters")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"Delta {'underflows' if delta == 0.0 else 'overflows'} at "
+                         f"lambda = {lam:.3e}: inadmissible parameters")
     return s, delta, (lam - f0) + 2.0 * beta * d * (lam + alpha * s * math.tanh(0.5 * s)) / delta
 
 
-def _bracketed_root(fun, a: float, fa: float, b: float, fb: float):
-    """Close the bracket [a, b] of the increasing fun, fa = fun(a) <= 0 <
-    fun(b) = fb, to 4 ulps of b and return it as (a, b, fa, fb).  Illinois
-    steps (Dowell & Jarratt, BIT 11, 1971): regula falsi whose weight at an
-    end kept twice running is halved; a bisection instead wherever the step
-    would not fall strictly inside, or two steps left the bracket more than
-    half as wide as before them.  A NaN value counts as <= 0."""
+def _bracketed_root(fun):
+    """Root of the increasing fun on floats, as (x, a, b, fa, fb): fun(a) = fa
+    <= 0 < fb = fun(b), a NaN counting as <= 0, and x the end with the
+    smaller |fun|.  Bracketed within a factor 2 by halving or doubling from
+    x = 1, so scaling fun's argument by 2^n scales each bracket exactly;
+    RuntimeError if x reaches 0 or inf.  Then closed to 4 ulps of b by
+    Illinois steps (Dowell & Jarratt, BIT 11, 1971): regula falsi whose
+    weight at an end kept twice running is halved; a bisection instead
+    wherever the secant step is undefined or would not fall strictly inside,
+    or the bracket is more than half as wide as three steps before.  So the
+    bracket halves at least every 4 evaluations."""
+    x = 1.0
+    fx = fun(x)
+    positive = fx > 0.0
+    while (fx > 0.0) == positive:  # halve while fun > 0, double while it is <= 0
+        last = (x, fx)
+        x *= 0.5 if positive else 2.0
+        if x == 0.0 or x == math.inf:
+            raise RuntimeError(f"no root bracketed: halving or doubling from 1 reached {x}")
+        fx = fun(x)
+    (a, fa), (b, fb) = sorted((last, (x, fx)))
     wa, wb = fa, fb
     moved = 0  # +1 after a step moved b, -1 after one moved a
-    widths = (math.inf, math.inf)  # the bracket's widths two and one steps ago
+    widths = (math.inf,) * 3  # the bracket's widths three, two and one steps ago
     while b - a > 4.0 * math.ulp(b):
-        x = b - wb * ((b - a) / (wb - wa))
+        x = b - wb * ((b - a) / (wb - wa)) if wb != wa else math.nan
         if not a < x < b or b - a > 0.5 * widths[0]:
             x = a + 0.5 * (b - a)
-        widths = (widths[1], b - a)
+        widths = (*widths[1:], b - a)
         fx = fun(x)
         if fx > 0.0:
             if moved > 0:
@@ -205,37 +222,20 @@ def _bracketed_root(fun, a: float, fa: float, b: float, fb: float):
             if moved < 0:
                 wb *= 0.5
             a, fa, wa, moved = x, fx, fx, -1
-    return a, b, fa, fb
+    return (a if abs(fa) <= abs(fb) else b), a, b, fa, fb
 
 
 def _threshold(p: Parameters):
-    """(lambda0, b): the threshold and the upper end of its bracket [a, b].
-    Bracketed within a factor 2 by halving or doubling from lambda = 1 on
-    g - G, so scaling every rate by 2^n scales each bracket exactly, then
-    closed by _bracketed_root.  The bracket is the certificate:
-    g - G(a) <= 0 < g - G(b), else the threshold post-check fails.  lambda0
-    is the end with the smaller |g - G|."""
+    """(lambda0, b): the threshold and the upper end of its bracket [a, b],
+    the root of g - G by _bracketed_root.  The bracket is the certificate:
+    g - G(a) <= 0 < g - G(b), else the threshold post-check fails."""
     if p.fprime0 <= 0:
         raise ValueError("threshold needs f'(0) > 0")
-
-    def g_minus_G(lam):
-        return _scalar_terms(lam, p)[2]
-
-    lam = 1.0
-    g = g_minus_G(lam)
-    positive = g > 0.0
-    while (g > 0.0) == positive:  # halve while g - G > 0, double while it is <= 0
-        last = (lam, g)
-        lam *= 0.5 if positive else 2.0
-        if lam == math.inf:
-            raise RuntimeError("no finite dispersion threshold: inadmissible parameters")
-        g = g_minus_G(lam)
-    (a, g_a), (b, g_b) = sorted((last, (lam, g)))
-    a, b, g_a, g_b = _bracketed_root(g_minus_G, a, g_a, b, g_b)
+    lam0, _, b, g_a, g_b = _bracketed_root(lambda lam: _scalar_terms(lam, p)[2])
     if not g_a <= 0.0 < g_b:
         raise RuntimeError(f"threshold post-check failed: g - G = ({g_a:.3e}, {g_b:.3e}) "
                            f"at the bracket ends")
-    return (a if abs(g_a) <= abs(g_b) else b), b
+    return lam0, b
 
 
 def find_lambda0(p: Parameters) -> float:
@@ -304,7 +304,9 @@ def _edge_profile(s: float, sq: float, k: float, alpha: float, e_mu: float, left
     cosh_l, sinh_l = left
     cosh_r, sinh_r = right
     v = k * (sq * cosh_l + alpha * sinh_l + e_mu * (sq * cosh_r + alpha * sinh_r))
-    vp = k * s * (-sq * sinh_l - alpha * cosh_l) + k * e_mu * s * (sq * sinh_r + alpha * cosh_r)
+    # k s underflows near d = 1e300 (k ~ 1 / d, s ~ 1 / sqrt(d)), so s multiplies the sums first
+    vp = (k * (s * (-sq * sinh_l - alpha * cosh_l))
+          + k * (e_mu * (s * (sq * sinh_r + alpha * cosh_r))))
     return v, vp
 
 

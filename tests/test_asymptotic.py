@@ -122,6 +122,12 @@ class TestCStarInf:
         with pytest.raises(ValueError):
             compute_c_star_inf(Parameters(1, 1, 1, nonlinearity=logistic(0.0)))
 
+    @pytest.mark.parametrize("rate", [1e-200, 1e-300])
+    def test_underflowing_delta_inf_rejected_by_name(self, rate):
+        # both terms of DeltaInf underflow to 0: a ZeroDivisionError before
+        with pytest.raises(ValueError, match="DeltaInf underflows at mu = 1.000e"):
+            compute_c_star_inf(Parameters(rate, rate, rate, nonlinearity=logistic(rate)))
+
 
 def oracle_c_star_inf(q, mu0):
     """min over mu > 0 of c_plus at 60 digits: the root of

@@ -276,12 +276,13 @@ class TestOutputs:
         monkeypatch.setattr(bench_pairs, "_run_command", run_command)
         verify = {side: {"runs": [{"lines": []}]} for side in ("parent", "change")}
         record = bench_pairs.output_record({"parent": "P", "change": "C"}, verify)
-        steep = "speed --set parameters.d=1e-7"
-        assert list(record) == ["simulate", "asymptotic", "speed", steep, "verify"]
-        assert record[steep] == {"exit": "identical", "stdout": ["identical"],
-                                 "files": {"s.csv": "identical"}}
-        assert calls[-2:] == [("P", ("speed", "--set", "parameters.d=1e-7")),
-                              ("C", ("speed", "--set", "parameters.d=1e-7"))]
+        steep, tiny_mu = "speed --set parameters.d=1e-7", "speed --set parameters.fprime0=1e-30"
+        assert list(record) == ["simulate", "asymptotic", "speed", steep, tiny_mu, "verify"]
+        for args in (steep, tiny_mu):
+            assert record[args] == {"exit": "identical", "stdout": ["identical"],
+                                    "files": {"s.csv": "identical"}}
+        assert calls[-4:] == [(side, tuple(args.split())) for args in (steep, tiny_mu)
+                              for side in ("P", "C")]
 
     def test_one_command(self, tmp_path):
         self.write(tmp_path, "parent", "a.csv", "t,m\n0,1\n")

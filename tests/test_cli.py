@@ -103,12 +103,16 @@ class TestCommands:
         assert len(scan) == 2001
 
     @pytest.mark.parametrize("rates,field,value", [
-        # mu* = 1.7e-15: 49 halvings from mu = 1 bracket the limit tangency
-        ({"fprime0": "1e-30"}, "c_star_inf", "7.0710678118654753e-16"),
+        # mu* = 1.7e-15: 49 halvings from mu = 1 bracket the limit tangency;
+        # the 60-digit minimum is 7.0710678118654755e-16
+        ({"fprime0": "1e-30"}, "c_star_inf", "7.0710678118654743e-16"),
         # lambda* within 6e-9 lambda0 of the threshold; the 80-digit minimum agrees
         ({"alpha": "950273520.1262786", "beta": "7819.045135814194",
           "d": "1.4413836100614537e-09", "fprime0": "191330277.32112813"},
          "c_star", "0.52514789310121357"),
+        # k s underflowed in dV/dx at d = 1e300; c* meets c*_inf = 0.75679734081915294
+        ({"d": "1e300"}, "c_star", "0.75679734081915284"),
+        ({"d": "1e305"}, "c_star", "0.75679734081915295"),
     ])
     def test_speed_at_extreme_rates(self, rates, field, value, tmp_path, capsys):
         sets = [arg for k, v in rates.items() for arg in ("--set", f"parameters.{k}={v}")]
@@ -127,11 +131,23 @@ class TestCommands:
         ("alpha=1e200", "Delta overflows at lambda = 1.000e+00"),
         ("alpha=1e300", "Delta overflows at lambda = 1.000e+00"),
         ("beta=1e300", "DeltaInf overflows at mu = 1.000e+00"),
+        ("d=1.7e308", "Delta overflows at lambda = 1.000e+00"),
     ])
     def test_speed_rejects_inadmissible_rates_by_name(self, rate, fragment, tmp_path):
         proc = run_cli(["speed", "--set", f"parameters.{rate}"], tmp_path, timeout=10)
         assert proc.returncode == 2
         assert_one_line_error(proc, fragment)
+
+    @pytest.mark.parametrize("command", ["speed", "asymptotic"])
+    @pytest.mark.parametrize("rate", ["1e-200", "1e-300"])
+    def test_underflowing_delta_rejected_by_name(self, command, rate, tmp_path, capsys):
+        # every rate at 1e-200: each term of Delta underflows to 0 near lambda0,
+        # a ZeroDivisionError traceback before
+        sets = [arg for k in ("alpha", "beta", "d", "fprime0")
+                for arg in ("--set", f"parameters.{k}={rate}")]
+        assert main([command, *sets, *outdir_arg(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Delta underflows at lambda = ") and err.count("\n") == 1
 
     def test_simulate_emits_trajectory(self, tmp_path):
         proc = run_cli(

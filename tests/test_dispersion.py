@@ -218,6 +218,51 @@ class TestLambda0:
             find_lambda0(params(fprime0=0.0))
 
 
+def closing_evaluations(fun):
+    """_bracketed_root(fun)'s result, and its evaluations after the bracketing,
+    the ones off the powers of two, against 4 per halving of the bracket
+    [2^m, 2^(m+1)] down to 4 ulps of its upper end."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fun(x)
+
+    result = dispersion._bracketed_root(counted)
+    powers = [x for x in calls if math.frexp(x)[0] == 0.5]
+    halvings = math.ceil(math.log2(min(powers[-2:]) / (4.0 * math.ulp(result[2]))))
+    return result, len(calls) - len(powers), 4 * halvings
+
+
+class TestBracketedRoot:
+    @pytest.mark.parametrize("kind", ["exponential", "tanh", "nan_below"])
+    def test_closes_within_4_evaluations_per_halving(self, kind):
+        # root r = 1.3 x0 in [x0, 2 x0], x0 from 1e-300 to 1e300; the
+        # exponential's argument is capped where math.exp would overflow
+        funs = {"exponential": lambda t, x0: math.exp(min(50.0 * (t / x0 - 1.0), 700.0))
+                - math.exp(15.0),
+                "tanh": lambda t, x0: math.tanh(1e8 * (t / (1.3 * x0) - 1.0)),
+                "nan_below": lambda t, x0: t / x0 - 1.3 if t > 1.2 * x0 else math.nan}
+        for e in range(-300, 301, 20):
+            x0 = 10.0 ** e
+            (x, a, b, fa, fb), used, bound = closing_evaluations(lambda t: funs[kind](t, x0))
+            assert fa <= 0.0 < fb and a <= x <= b and b - a <= 4.0 * math.ulp(b), e
+            assert a <= 1.3 * x0 * (1.0 + 1e-15) and b >= 1.3 * x0 * (1.0 - 1e-15), e
+            assert used <= bound, (e, used, bound)
+
+    def test_closes_on_subnormal_values(self):
+        # the Illinois weights underflow to 0 here, and the secant's
+        # denominator with them: a ZeroDivisionError after 40 evaluations before
+        (x, a, b, fa, fb), used, bound = closing_evaluations(
+            lambda t: 1e-320 * (math.exp(50.0 * (t - 1.0)) - math.exp(15.0)))
+        assert 1.0 < a <= x <= b < 2.0 and fa <= 0.0 < fb and b - a <= 4.0 * math.ulp(b)
+        assert used <= bound
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(RuntimeError, match="no root bracketed"):
+            dispersion._bracketed_root(lambda t: -1.0)
+
+
 class TestCStar:
     def test_zoom_vs_dense_grid(self):
         p = params()

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cityroad import dispersion
+from cityroad import asymptotic, dispersion
 from cityroad.asymptotic import compute_c_star_inf
 from cityroad.dispersion import compute_c_star, find_lambda0
 from cityroad.model import Parameters, logistic
@@ -138,25 +138,33 @@ def test_speeds_over_wide_log_boxes():
 
 
 def test_threshold_evaluations_over_wide_log_boxes(monkeypatch):
-    # g - G evaluations per lambda0, the bracketing from lambda = 1 included,
-    # at the same 1200 points: the most in each box (medians 31, 56.5 and 64)
-    real = dispersion._scalar_terms
+    # g - G evaluations per lambda0 and g(mu) evaluations per c*_inf (with
+    # the one for root' at mu*), the bracketing from 1 included, at the same
+    # 1200 points: the most in each box (medians 26.5, 54.5 and 62.5 for
+    # g - G; 24, 32 and 35 for g(mu))
     calls = []
 
-    def counted(lam, p):
-        calls.append(lam)
-        return real(lam, p)
+    def counted(real):
+        def call(x, p):
+            calls.append(x)
+            return real(x, p)
+        return call
 
-    monkeypatch.setattr(dispersion, "_scalar_terms", counted)
+    monkeypatch.setattr(dispersion, "_scalar_terms", counted(dispersion._scalar_terms))
+    monkeypatch.setattr(asymptotic, "_tangency", counted(asymptotic._tangency))
     largest = {}
     for decades in (6, 12, 15):
         counts = []
         for q in wide_box_points(decades):
             calls.clear()
             find_lambda0(params(*q))
-            counts.append(len(calls))
-        largest[decades] = max(counts)
-    assert largest[6] <= 74 and largest[12] <= 149 and largest[15] <= 161, largest
+            threshold = len(calls)
+            calls.clear()
+            compute_c_star_inf(params(*q))
+            counts.append((threshold, len(calls)))
+        largest[decades] = tuple(max(c) for c in zip(*counts))
+    bounds = {6: (73, 56), 12: (149, 74), 15: (161, 81)}
+    assert all(n <= cap for d in bounds for n, cap in zip(largest[d], bounds[d])), largest
 
 
 def test_c_star_inf_tangency_residual():
