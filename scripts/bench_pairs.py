@@ -12,10 +12,13 @@ per-layer numbers.  Each checkout runs its own ``perfbench/`` on its own
 -m pytest -q --continue-on-collection-errors``), run ``CHECK_RUNS`` times in
 each checkout, timed, the sides alternating in the same way.  Last, each
 checkout runs ``cityroad simulate``, ``asymptotic`` and ``speed`` at the
-default config, ``speed`` at ``d = 1e-7`` (a steep threshold, where
-solver changes move bits that the default config leaves alone) and ``speed``
-at ``f'(0) = 1e-30`` (``mu* = 1.7e-15``, 49 halvings from ``mu = 1``), each
-into a fresh directory, for the output record.
+default config, ``asymptotic`` at ``simulation.dt = 1e-3`` (the limit run
+on a pinned step, where the default picks its own) and at ``f'(0) = 50``
+(past the rates where the limit's own step is coarser than 1e-3), ``speed`` at
+``d = 1e-7`` (a steep threshold, where solver changes move bits that the
+default config leaves alone) and ``speed`` at ``f'(0) = 1e-30``
+(``mu* = 1.7e-15``, 49 halvings from ``mu = 1``), each into a fresh
+directory, for the output record.
 
 The record holds every run's last-line JSON and its round count (from
 perfbench's ``workload=... rounds=N`` line); per workload and metric the
@@ -67,7 +70,9 @@ _COUNT = re.compile(r"(\d+) ([a-z]+)")
 _ROUNDS = re.compile(r"^workload=\S+ seed=\S+ rounds=(\d+)", re.MULTILINE)
 _RUNTIME = re.compile(r"runtime=\S+")
 # the arguments of each command of the output record, which is keyed by them
-OUTPUT_COMMANDS = (("simulate",), ("asymptotic",), ("speed",),
+OUTPUT_COMMANDS = (("simulate",), ("asymptotic",),
+                   ("asymptotic", "--set", "simulation.dt=0.001"),
+                   ("asymptotic", "--set", "parameters.fprime0=50"), ("speed",),
                    ("speed", "--set", "parameters.d=1e-7"),
                    ("speed", "--set", "parameters.fprime0=1e-30"))
 

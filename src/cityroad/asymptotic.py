@@ -18,8 +18,8 @@ c*'s threshold (``dispersion._bracketed_root``), with the root formed
 without cancellation.  This module integrates the ODE lattice through the
 shared driver ``lattice_sim.run_system``, with one classical RK4
 step per road level (``kernels.advance_asym``) in place of the Crank-Nicolson
-edge update; its snapshots are ``LatticeState``s whose roads hold one sample,
-the level V_j.
+edge update, at its own step (``limit_dt``) when the CLI picks the step; its
+snapshots are ``LatticeState``s whose roads hold one sample, the level V_j.
 It also runs the matched convergence experiment against the full simulator.
 """
 
@@ -39,6 +39,7 @@ from .lattice_sim import (
     init_state,
     run_system,
     simulate,
+    stiffness_dt_cap,
 )
 from .model import Parameters
 
@@ -47,6 +48,7 @@ __all__ = [
     "AsymptoticDispersion",
     "asymptotic_dispersion_eval",
     "compute_c_star_inf",
+    "limit_dt",
     "simulate_asymptotic",
     "large_d_convergence_experiment",
 ]
@@ -129,6 +131,23 @@ def compute_c_star_inf(p: Parameters) -> AsymptoticSpeed:
     if not dpsi_res <= 1e-8:
         raise RuntimeError(f"tangency residual |dPsi/dmu| / root' = {dpsi_res:.3e} exceeds 1e-8")
     return AsymptoticSpeed(mu_star, c_inf, (g_a, g_b), dpsi_res)
+
+
+def limit_dt(T: float, p: Parameters) -> float:
+    """The limit system's own RK4 step to time T: T / n, n the smallest
+    multiple of 200 with T / n <= stiffness_dt_cap(p) / 5 (201 snapshots at
+    the default stride, exact under time rescaling, 0.01 at the defaults with
+    an RK4 error of about 5e-9), or the lattice's ``SimulationConfig.dt``
+    where that is finer: no run takes more steps than on the lattice's step,
+    and a rate past the stiffness cap or a T too long is refused by
+    ``run_system`` as there."""
+    cap = stiffness_dt_cap(p) / 5.0
+    if not (cap > SimulationConfig.dt and T / cap < math.inf):
+        return SimulationConfig.dt
+    k = max(1, math.ceil(T / cap / 200) - 1)  # a rounded quotient's ceiling may be one off
+    while T / (200 * k) > cap:
+        k += 1
+    return max(T / (200 * k), SimulationConfig.dt)
 
 
 def simulate_asymptotic(data: InitialData, cfg: SimulationConfig, p: Parameters,

@@ -26,6 +26,7 @@ from pathlib import Path
 from .asymptotic import (
     compute_c_star_inf,
     large_d_convergence_experiment,
+    limit_dt,
     simulate_asymptotic,
 )
 from .csvout import (
@@ -77,7 +78,7 @@ _SCHEMA = {
     "parameters.ell": (float, 1.0),
     "parameters.fprime0": (float, 1.0),
     "simulation.T": (float, 50.0),
-    "simulation.dt": (float, 1e-3),
+    "simulation.dt": (float, 0.0),  # 0 = automatic, per command
     "simulation.m": (int, 32),
     "simulation.stride": (int, 0),
     "simulation.c_upper": (float, 0.0),  # 0 = automatic
@@ -122,7 +123,7 @@ class ExperimentConfig:
         c_up = self.raw["simulation.c_upper"]
         return SimulationConfig(
             T=self.raw["simulation.T"],
-            dt=self.raw["simulation.dt"],
+            dt=self.raw["simulation.dt"] or SimulationConfig.dt,  # 0: the lattice's step
             m=self.raw["simulation.m"],
             snapshot_stride=self.raw["simulation.stride"],
             c_upper_guess=None if c_up == 0 else c_up,
@@ -278,10 +279,13 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def _cmd_asymptotic(cfg: ExperimentConfig) -> int:
     p = cfg.parameters
+    sim = cfg.simulation  # dt 0 with a stride set: the lattice's step, which the stride counts
+    if cfg.raw["simulation.dt"] == cfg.raw["simulation.stride"] == 0:
+        sim = replace(sim, dt=limit_dt(sim.T, p))  # the limit system's own step
     out = cfg.outdir
     vp_file = [("asymptotic_vp.csv", ["time", "j", "V", "P"], asym_block)]
     with TrajectoryWriter(out, vp_file) as writer:
-        traj = simulate_asymptotic(cfg.initial_data, cfg.simulation, p,
+        traj = simulate_asymptotic(cfg.initial_data, sim, p,
                                    on_snapshot=writer.send)
     write_csv(out / "asymptotic_mass.csv", ["time", "mass"], row_lines(zip(traj.times, traj.mass)))
     flag = f"contaminated={str(traj.contaminated).lower()}"

@@ -11,10 +11,11 @@ from cityroad.asymptotic import (
     asymptotic_dispersion_eval,
     compute_c_star_inf,
     large_d_convergence_experiment,
+    limit_dt,
     simulate_asymptotic,
 )
 from cityroad.front_speed import estimate_speed, inner_deficit, outer_occupancy
-from cityroad.lattice_sim import InitialData, SimulationConfig
+from cityroad.lattice_sim import InitialData, SimulationConfig, stiffness_dt_cap
 from cityroad.model import Parameters, logistic
 
 
@@ -222,6 +223,91 @@ class TestStep:
         V1, P1 = step(V, P, 0.01, p)
         assert np.allclose(V1[3:-3], p.beta / (2 * p.alpha) * (P1[3:-4] + P1[4:-3]),
                            atol=1e-13)
+
+
+def box_points(n, lo, hi, seed):
+    """n seeded log-uniform points (alpha, beta, d, f'(0)) of [lo, hi]^4."""
+    rng = np.random.default_rng(seed)
+    points = np.exp(rng.uniform(math.log(lo), math.log(hi), size=(n, 4)))
+    return [Parameters(*q[:3], nonlinearity=logistic(q[3])) for q in points.tolist()]
+
+
+def scaled(p, factor):
+    return Parameters(factor * p.alpha, factor * p.beta, factor * p.d,
+                      nonlinearity=logistic(factor * p.fprime0))
+
+
+class TestLimitStep:
+    """``limit_dt``: T / n, n the smallest multiple of 200 with T / n at
+    most a fifth of the stiffness cap, and never finer than the lattice's
+    step."""
+
+    TIMES = (0.37, 1.0, 5.0, 50.0, 333.3, 2000.0)
+    LATTICE = SimulationConfig.dt
+
+    @pytest.mark.parametrize("T", TIMES)
+    def test_rule_over_box(self, T):
+        for p in box_points(50, 0.1, 10.0, seed=2601):
+            dt, cap = limit_dt(T, p), stiffness_dt_cap(p) / 5.0
+            n = round(T / dt)
+            assert abs(n * dt - T) <= 1e-9 * T  # run_system's multiple-of-dt check
+            assert dt <= cap
+            assert dt >= self.LATTICE
+            if dt > self.LATTICE:
+                assert n % 200 == 0 and n >= 200
+                assert n == 200 or T / (n - 200) > cap  # the smallest such n
+
+    @pytest.mark.parametrize("T", TIMES)
+    def test_exact_under_time_rescaling(self, T):
+        # rates times 2^k and T over 2^k: the same n, so dt over exactly 2^k,
+        # until that step is finer than the lattice's
+        points = [p for p in box_points(20, 0.1, 10.0, seed=2602)
+                  if limit_dt(T, p) > self.LATTICE]
+        assert len(points) >= 10
+        for p in points:
+            dt = limit_dt(T, p)
+            for k in (-20, -3, -1, 1, 3, 20):
+                expected = max(dt / 2.0**k, self.LATTICE)
+                assert limit_dt(T / 2.0**k, scaled(p, 2.0**k)) == expected
+
+    def test_default_is_a_hundredth(self, p):
+        # 50 / (0.2 * 0.05) is 4999.999999999999: the ceiling is guarded
+        assert limit_dt(50.0, p) == 0.01
+
+    def test_snapshot_grid(self, p):
+        cfg = SimulationConfig(T=0.37, dt=limit_dt(0.37, p), m=4, c_upper_guess=1.0)
+        assert len(simulate_asymptotic(InitialData.left_block(), cfg, p).snapshots) == 201
+
+    @pytest.mark.parametrize("T,rates", [
+        (50.0, (1.0, 1.0, 1.0, 20.0)),     # cap / 5 exactly the lattice's step
+        (50.0, (1.0, 1.0, 1.0, 50.0)),
+        (50.0, (1.0, 1.0, 1.0, 1e4)),      # past the cap: run_system refuses 1e-3
+        (50.0, (1e308, 1.0, 1.0, 1.0)),    # a cap of 0
+        (0.15, (1.0, 1.0, 1.0, 1.0)),      # T / 200 below 1e-3
+        (1e307, (1.0, 1.0, 1.0, 1.0)),     # T / cap overflows: run_system refuses T
+    ])
+    def test_lattice_step_floor(self, T, rates):
+        alpha, beta, d, fprime0 = rates
+        p = Parameters(alpha, beta, d, nonlinearity=logistic(fprime0))
+        assert limit_dt(T, p) == self.LATTICE
+
+    def test_accuracy_over_box(self):
+        # against a tenth of the step; T = 1.5 samples the early transient,
+        # where the error is largest, more finely than T = 5 (|dP| 2.1e-9,
+        # |dV| 2.7e-9 there): the worst case measured is |dP| 4.1e-9,
+        # |dV| 5.6e-9
+        T, worst_p, worst_v = 1.5, 0.0, 0.0
+        for p in box_points(8, 0.3, 3.0, seed=2603):
+            dt = limit_dt(T, p)
+            runs = [simulate_asymptotic(InitialData.left_block(),
+                                        SimulationConfig(T=T, dt=h, m=4, c_upper_guess=2.0), p)
+                    for h in (dt, dt / 10)]
+            assert [len(run.snapshots) for run in runs] == [201, 201]
+            for a, b in zip(*(run.snapshots for run in runs)):
+                assert a.time == pytest.approx(b.time, rel=1e-12)
+                worst_p = max(worst_p, float(np.max(np.abs(a.rho - b.rho))))
+                worst_v = max(worst_v, float(np.max(np.abs(a.edges - b.edges))))
+        assert worst_p <= 1e-8 and worst_v <= 1e-8
 
 
 class TestMassAnalogue:

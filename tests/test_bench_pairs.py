@@ -277,8 +277,11 @@ class TestOutputs:
         verify = {side: {"runs": [{"lines": []}]} for side in ("parent", "change")}
         record = bench_pairs.output_record({"parent": "P", "change": "C"}, verify)
         steep, tiny_mu = "speed --set parameters.d=1e-7", "speed --set parameters.fprime0=1e-30"
-        assert list(record) == ["simulate", "asymptotic", "speed", steep, tiny_mu, "verify"]
-        for args in (steep, tiny_mu):
+        pinned = "asymptotic --set simulation.dt=0.001"
+        fast = "asymptotic --set parameters.fprime0=50"
+        assert list(record) == ["simulate", "asymptotic", pinned, fast, "speed", steep, tiny_mu,
+                                "verify"]
+        for args in (pinned, fast, steep, tiny_mu):
             assert record[args] == {"exit": "identical", "stdout": ["identical"],
                                     "files": {"s.csv": "identical"}}
         assert calls[-4:] == [(side, tuple(args.split())) for args in (steep, tiny_mu)

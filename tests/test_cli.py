@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import math
 import multiprocessing
 import os
@@ -450,6 +453,90 @@ class TestCommands:
         assert proc.returncode == 2, proc.stderr
         assert_one_line_error(proc, "Unable to allocate")
         assert list(out.iterdir()) == []
+
+
+class TestAutomaticStep:
+    """``simulation.dt = 0``, the default, is automatic per command: the limit
+    system's own step (``asymptotic.limit_dt``, never below 1e-3) for
+    ``asymptotic`` unless a stride is set, 1e-3 for the lattice runs; an
+    explicit step is used as given."""
+
+    LIMIT = ["asymptotic", "--set", "simulation.T=10"]
+    PINNED = ["--set", "simulation.dt=0.001"]
+
+    @pytest.fixture(scope="class")
+    def limit_runs(self, tmp_path_factory):
+        """Output directories of the T = 10 limit run at the automatic step
+        and at dt = 1e-3 (both exit 1: the short run's window is contaminated)."""
+        outs = {}
+        for name, extra in (("auto", []), ("pinned", self.PINNED)):
+            outs[name] = tmp_path_factory.mktemp(name)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*self.LIMIT, *extra, *outdir_arg(outs[name])]) == 1
+        return outs
+
+    def test_limit_keeps_rows_and_times(self, limit_runs):
+        # dt = 0.01 here: the values move by RK4's error (V, P 5.3e-9 and the
+        # mass, a sum over the window, 2.3e-8), the rows and times not at all
+        for name, keys, bound in (("asymptotic_vp.csv", 2, 1e-8),
+                                  ("asymptotic_mass.csv", 1, 1e-7)):
+            auto, pinned = (np.loadtxt(limit_runs[side] / name, delimiter=",", skiprows=1)
+                            for side in ("auto", "pinned"))
+            assert auto.shape == pinned.shape
+            assert np.array_equal(auto[:, :keys], pinned[:, :keys])
+            np.testing.assert_allclose(auto[:, keys:], pinned[:, keys:], rtol=0, atol=bound)
+
+    def test_explicit_step_keeps_its_bytes(self, limit_runs):
+        # the digests of the dt = 1e-3 run before the automatic step existed
+        digests = {
+            "asymptotic_vp.csv":
+                "f8940c73cc8078bf32eb40a16392565ec89fe392ba78ee8d1ef4d60df71c3b98",
+            "asymptotic_mass.csv":
+                "80f2d9ca2571536a1e7c6c2360f50d4b6848304aaca774b48f02406feaaae0ba",
+        }
+        for name, digest in digests.items():
+            data = (limit_runs["pinned"] / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("sets", [
+        ["simulation.T=1", "simulation.stride=10"],  # a stride counts lattice steps
+        ["simulation.T=1", "parameters.fprime0=50"],  # the limit rule would step finer
+        ["simulation.T=0.15"],                        # here too: T / 200 < 1e-3
+    ])
+    def test_lattice_step_where_the_rule_does_not_apply(self, sets, tmp_path):
+        args = ["asymptotic", *(arg for s in sets for arg in ("--set", s))]
+        tables, codes = [], []
+        for extra in ([], self.PINNED):
+            out = tmp_path / str(len(tables))
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main([*args, *extra, *outdir_arg(out)]))
+            tables.append([(out / name).read_bytes()
+                           for name in ("asymptotic_vp.csv", "asymptotic_mass.csv")])
+        assert codes[0] == codes[1] and tables[0] == tables[1]
+
+    def test_rate_past_the_cap_refused(self, tmp_path, capsys):
+        # the automatic step is never below 1e-3, so run_system refuses it
+        argv = ["asymptotic", "--set", "parameters.fprime0=1e4"]
+        assert main([*argv, *outdir_arg(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: dt=0.001 exceeds the stiffness cap 1e-05\n"
+
+    def test_large_d_errors_stay_on_the_lattice_step(self, tmp_path, monkeypatch):
+        steps, run = [], cli.large_d_convergence_experiment
+
+        def spy(*args, **kwargs):
+            steps.append(kwargs["dt"])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "large_d_convergence_experiment", spy)
+        argv = ["asymptotic", "--set", "simulation.T=2", "--set", "simulation.m=8",
+                "--set", "largeD.eps_values=0.1", "--set", "largeD.T=2"]
+        tables = []
+        for extra in ([], self.PINNED):
+            out = tmp_path / str(len(tables))
+            main([*argv, *extra, *outdir_arg(out)])
+            tables.append((out / "large_d_errors.csv").read_bytes())
+        assert steps == [1e-3, 1e-3]
+        assert tables[0] == tables[1]
 
 
 class TestExitCodes:
